@@ -1,19 +1,14 @@
 /**
  * @file
- * Microbenchmark + correctness gate for the min-cut machinery. The
- * paper uses Edmonds-Karp (O(n m^2), ~O(n^3) on CFGs) and notes that
- * faster algorithms (preflow-push) exist if compilation time matters.
- * Instead of synthetic networks, this harness:
+ * Microbenchmark + correctness gate for the min-cut machinery
+ * (Edmonds-Karp, the paper's solver, cold and warm-started). Instead
+ * of synthetic networks, this harness:
  *
  *  1. captures the cut problems COCO actually solves over the fig7
  *     cell matrix (every workload x {GREMIO, DSWP}) via the
  *     CocoExec::capture sink — real CFG-shaped networks with real
  *     profile-weight capacities;
- *  2. sweeps all four flow algorithms (Edmonds-Karp, Dinic,
- *     DinicPruned, highest-label PushRelabel) cold over every
- *     captured problem, asserting each reports exactly the reference
- *     Edmonds-Karp flow value and min cut (source-side and sink-side
- *     min cuts are unique across max flows);
+ *  2. times cold solves of every captured problem;
  *  3. replays warm-start chains — consecutive captures of the same
  *     (pair, reg) problem whose capacities drifted, plus synthetic
  *     retune sequences stressing MaxFlow::resolve's decrease-repair
@@ -61,26 +56,6 @@ msSince(Clock::time_point t0)
         .count();
 }
 
-const char *
-algoName(FlowAlgorithm a)
-{
-    switch (a) {
-      case FlowAlgorithm::EdmondsKarp:
-        return "ek";
-      case FlowAlgorithm::Dinic:
-        return "dinic";
-      case FlowAlgorithm::DinicPruned:
-        return "dinic_pruned";
-      case FlowAlgorithm::PushRelabel:
-        return "push_relabel";
-    }
-    return "?";
-}
-
-constexpr FlowAlgorithm kAlgos[] = {
-    FlowAlgorithm::EdmondsKarp, FlowAlgorithm::Dinic,
-    FlowAlgorithm::DinicPruned, FlowAlgorithm::PushRelabel};
-
 /** Flow value + cut of one solved problem, the identity payload. */
 struct Solution
 {
@@ -97,27 +72,18 @@ struct Solution
 
 /** Solve one captured problem from scratch on @p work (rewound
  *  in-place, so repeated calls are allocation-free). */
-Solution
+void
 solveCold(FlowNetwork &work, const CutProblemCapture::Entry &e,
-          FlowAlgorithm algo, MaxFlow &mf)
+          MaxFlow &mf)
 {
     work.clearRemoved();
     work.restoreResiduals();
-    Solution sol;
     if (e.is_mem) {
-        MultiCutResult cut = multiPairMinCut(work, e.pairs, algo,
-                                             CutSide::Sink, &mf);
-        sol.finite = cut.finite;
-        sol.value = cut.cost;
-        sol.cut = std::move(cut.arcs);
+        multiPairMinCut(work, e.pairs, CutSide::Sink, &mf);
     } else {
-        mf.setAlgorithm(algo);
         mf.attach(work);
-        sol.value = mf.solve(e.source, e.sink);
-        sol.finite = mf.finite();
-        sol.cut = mf.minCutArcs(CutSide::Source);
+        mf.solve(e.source, e.sink);
     }
-    return sol;
 }
 
 /** A warm-start chain: a base register network plus a sequence of
@@ -133,11 +99,10 @@ struct Chain
 /** Replay one chain warm: cold head solve, then one resolve() per
  *  step. Appends each step's solution (head excluded) to @p out. */
 void
-replayWarm(const Chain &c, FlowNetwork &state, FlowAlgorithm algo,
-           MaxFlow &mf, std::vector<Solution> *out)
+replayWarm(const Chain &c, FlowNetwork &state, MaxFlow &mf,
+           std::vector<Solution> *out)
 {
     state = c.base;
-    mf.setAlgorithm(algo);
     mf.attach(state);
     mf.solve(c.source, c.sink);
     for (const auto &deltas : c.steps) {
@@ -154,11 +119,10 @@ replayWarm(const Chain &c, FlowNetwork &state, FlowAlgorithm algo,
 
 /** Replay one chain cold: every step's network solved from zero. */
 void
-replayCold(const Chain &c, FlowNetwork &state, FlowAlgorithm algo,
-           MaxFlow &mf, std::vector<Solution> *out)
+replayCold(const Chain &c, FlowNetwork &state, MaxFlow &mf,
+           std::vector<Solution> *out)
 {
     state = c.base;
-    mf.setAlgorithm(algo);
     mf.attach(state);
     mf.solve(c.source, c.sink);
     for (const auto &deltas : c.steps) {
@@ -221,7 +185,7 @@ main(int argc, char **argv)
             po.use_coco = true;
             PipelineContext ctx(w, po);
             PassManager::codegenPipeline().run(ctx);
-            CocoExec exec{nullptr, 1, nullptr, &capture};
+            CocoExec exec{&capture};
             cocoOptimize(ctx.pdg->ir->func, ctx.pdg->pdg,
                          ctx.partition->partition, ctx.pdg->cd,
                          ctx.profile->profile, CocoOptions{}, exec);
@@ -239,42 +203,18 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // ---- 2. Cold sweep: all four algorithms over every problem. ----
-    bool identical = true;
-    auto mismatch = [&](const char *what, size_t idx) {
-        identical = false;
-        std::fprintf(stderr,
-                     "micro_mincut: %s mismatch at problem %zu\n",
-                     what, idx);
-    };
-
-    // Reference pass (Edmonds-Karp) + per-entry reusable copies.
-    std::vector<FlowNetwork> work(entries.size(), FlowNetwork(0));
-    std::vector<Solution> ref(entries.size());
+    // ---- 2. Cold solves of every problem, best of --reps. ----
+    std::vector<FlowNetwork> work;
+    for (const auto &e : entries)
+        work.push_back(e.net);
     MaxFlow mf;
-    for (size_t i = 0; i < entries.size(); ++i) {
-        work[i] = entries[i].net;
-        ref[i] = solveCold(work[i], entries[i],
-                           FlowAlgorithm::EdmondsKarp, mf);
-    }
-
-    std::map<std::string, double> cold_ms;
-    for (FlowAlgorithm algo : kAlgos) {
-        // Verification pass (untimed): identity against the reference.
-        for (size_t i = 0; i < entries.size(); ++i) {
-            if (!(solveCold(work[i], entries[i], algo, mf) == ref[i]))
-                mismatch(algoName(algo), i);
-        }
-        // Timed passes: solve only, best of --reps.
-        double best = 0.0;
-        for (int r = 0; r < reps; ++r) {
-            auto t0 = Clock::now();
-            for (size_t i = 0; i < entries.size(); ++i)
-                solveCold(work[i], entries[i], algo, mf);
-            double ms = msSince(t0);
-            best = r == 0 ? ms : std::min(best, ms);
-        }
-        cold_ms[algoName(algo)] = best;
+    double cold_ms = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        auto t0 = Clock::now();
+        for (size_t i = 0; i < entries.size(); ++i)
+            solveCold(work[i], entries[i], mf);
+        double ms = msSince(t0);
+        cold_ms = r == 0 ? ms : std::min(cold_ms, ms);
     }
 
     // ---- 3. Warm-start chains. ----
@@ -354,38 +294,36 @@ main(int argc, char **argv)
     for (const auto &c : chains)
         chain_steps += c.steps.size();
 
-    std::map<std::string, double> warm_ms, chain_cold_ms;
+    // Verification pass (untimed): every warm step byte-equal to a
+    // cold solve of the same capacitated network.
+    bool identical = true;
     FlowNetwork state(0);
-    for (FlowAlgorithm algo : kAlgos) {
-        // Verification pass: every warm step byte-equal to the cold
-        // reference solve of the same capacitated network.
-        for (size_t ci = 0; ci < chains.size(); ++ci) {
-            std::vector<Solution> warm_sols, cold_sols;
-            replayWarm(chains[ci], state, algo, mf, &warm_sols);
-            replayCold(chains[ci], state, FlowAlgorithm::EdmondsKarp,
-                       mf, &cold_sols);
-            if (!(warm_sols == cold_sols))
-                mismatch("warm-chain", ci);
+    for (size_t ci = 0; ci < chains.size(); ++ci) {
+        std::vector<Solution> warm_sols, cold_sols;
+        replayWarm(chains[ci], state, mf, &warm_sols);
+        replayCold(chains[ci], state, mf, &cold_sols);
+        if (!(warm_sols == cold_sols)) {
+            identical = false;
+            std::fprintf(stderr,
+                         "micro_mincut: warm-chain mismatch at chain "
+                         "%zu\n",
+                         ci);
         }
-        double best_warm = 0.0, best_cold = 0.0;
-        for (int r = 0; r < reps; ++r) {
-            auto t0 = Clock::now();
-            for (const Chain &c : chains)
-                replayWarm(c, state, algo, mf, nullptr);
-            double wm = msSince(t0);
-            t0 = Clock::now();
-            for (const Chain &c : chains)
-                replayCold(c, state, algo, mf, nullptr);
-            double cm = msSince(t0);
-            best_warm = r == 0 ? wm : std::min(best_warm, wm);
-            best_cold = r == 0 ? cm : std::min(best_cold, cm);
-        }
-        warm_ms[algoName(algo)] = best_warm;
-        chain_cold_ms[algoName(algo)] = best_cold;
     }
-
-    double warm_speedup =
-        warm_ms["ek"] > 0.0 ? chain_cold_ms["ek"] / warm_ms["ek"] : 0.0;
+    double warm_ms = 0.0, chain_cold_ms = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        auto t0 = Clock::now();
+        for (const Chain &c : chains)
+            replayWarm(c, state, mf, nullptr);
+        double wm = msSince(t0);
+        t0 = Clock::now();
+        for (const Chain &c : chains)
+            replayCold(c, state, mf, nullptr);
+        double cm = msSince(t0);
+        warm_ms = r == 0 ? wm : std::min(warm_ms, wm);
+        chain_cold_ms = r == 0 ? cm : std::min(chain_cold_ms, cm);
+    }
+    double warm_speedup = warm_ms > 0.0 ? chain_cold_ms / warm_ms : 0.0;
 
     JsonObject o;
     o.str("bench", "mincut");
@@ -398,16 +336,10 @@ main(int argc, char **argv)
     o.num("chains", static_cast<int64_t>(chains.size()));
     o.num("natural_chains", static_cast<int64_t>(natural_chains));
     o.num("chain_steps", static_cast<int64_t>(chain_steps));
-    for (FlowAlgorithm algo : kAlgos)
-        o.num(std::string("cold_ms_") + algoName(algo),
-              cold_ms[algoName(algo)]);
-    for (FlowAlgorithm algo : kAlgos) {
-        o.num(std::string("warm_chain_ms_") + algoName(algo),
-              warm_ms[algoName(algo)]);
-        o.num(std::string("cold_chain_ms_") + algoName(algo),
-              chain_cold_ms[algoName(algo)]);
-    }
-    o.num("warm_speedup_vs_cold_ek", warm_speedup);
+    o.num("cold_ms", cold_ms);
+    o.num("warm_chain_ms", warm_ms);
+    o.num("cold_chain_ms", chain_cold_ms);
+    o.num("warm_speedup_vs_cold", warm_speedup);
 
     std::ofstream out(out_path);
     if (!out) {

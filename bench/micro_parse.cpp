@@ -73,6 +73,15 @@ main(int argc, char **argv)
     uint64_t corpus_bytes = 0;
     {
         namespace fs = std::filesystem;
+        std::error_code ec;
+        if (!fs::is_directory(dir, ec)) {
+            std::fprintf(stderr,
+                         "micro_parse: corpus directory %s not found "
+                         "(run from the repo root or pass --dir DIR)\n"
+                         "usage: %s [--dir DIR] [--reps N] [--out FILE]\n",
+                         dir.c_str(), argv[0]);
+            return 2;
+        }
         std::vector<fs::path> paths;
         for (const auto &entry : fs::directory_iterator(dir))
             if (entry.is_regular_file() &&

@@ -17,6 +17,7 @@
 #include "partition/gremio.hpp"
 #include "sim/decoded_program.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace gmt
 {
@@ -159,8 +160,6 @@ planFor(const AutotuneInputs &in, const ThreadPartition &part,
         iters = 0;
     } else {
         CocoExec exec;
-        exec.pool = in.pool;
-        exec.jobs = in.coco_jobs;
         exec.arena_cache = cache;
         CocoResult res = cocoOptimize(*in.f, *in.pdg, part, *in.cd,
                                       profile, in.coco, exec);
@@ -721,23 +720,6 @@ autotuneSchedule(const AutotuneInputs &in,
     mr.counter("autotune.warm_cut_reuses").add(result.warm_cut_reuses);
     return result;
 }
-
-namespace
-{
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 autotuneMovesJson(const AutotuneResult &r)

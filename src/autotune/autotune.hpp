@@ -49,8 +49,6 @@
 namespace gmt
 {
 
-class ThreadPool;
-
 /** One complete schedule the loop holds or proposes. */
 struct AutotuneSchedule
 {
@@ -173,10 +171,6 @@ struct AutotuneInputs
     std::function<MemoryImage()> make_memory;
     const std::vector<int64_t> *st_live_outs = nullptr;
     const MemoryImage *st_final_mem = nullptr;
-
-    /** Shared worker pool for COCO's cut solver (may be null). */
-    ThreadPool *pool = nullptr;
-    int coco_jobs = 1;
 };
 
 /**

@@ -1,10 +1,8 @@
 #include "coco/coco.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <tuple>
 #include <utility>
 
@@ -15,9 +13,7 @@
 #include "graph/multi_cut.hpp"
 #include "graph/scc.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace_writer.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace gmt
 {
@@ -117,8 +113,9 @@ struct RetainedGraph
     int super_s = -1, super_t = -1;
 };
 
-/** Per-worker solving arena: retained flow graphs + builder scratch +
- *  solver, all storage reused across problems. */
+/** Solving arena: retained flow graphs + builder scratch + solver,
+ *  all storage reused across problems, iterations and (through
+ *  CocoArenaCache) calls. */
 struct CutArena
 {
     FlowGraphScratch scratch;
@@ -129,77 +126,23 @@ struct CutArena
 
     /** Scratch for diffFlowGraphCosts / MaxFlow::resolve. */
     std::vector<ArcDelta> deltas;
-};
-
-/** Mutex-guarded free list of arenas, one checkout per in-flight
- *  solve. */
-class ArenaPool
-{
-  public:
-    std::unique_ptr<CutArena>
-    acquire(Counter &reuse_hits)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (free_.empty())
-            return std::make_unique<CutArena>();
-        reuse_hits.add();
-        auto arena = std::move(free_.back());
-        free_.pop_back();
-        return arena;
-    }
-
-    void
-    release(std::unique_ptr<CutArena> arena)
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        free_.push_back(std::move(arena));
-    }
 
     /**
      * Cross-call adoption (CocoArenaCache): register graphs retained
      * at a grown liveness version are not comparable across calls
      * (version numbers restart at 0 and the growth history differs),
      * so drop them; version-0 register graphs and memory graphs have
-     * topology fixed by (function, partition) and stay. All arenas
-     * sit in the free list between calls.
+     * topology fixed by (function, partition) and stay.
      */
     void
     dropStaleRetained()
     {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (auto &a : free_)
-            for (auto it = a->retained.begin();
-                 it != a->retained.end();)
-                if (!std::get<2>(it->first) && it->second.vlive != 0)
-                    it = a->retained.erase(it);
-                else
-                    ++it;
+        for (auto it = retained.begin(); it != retained.end();)
+            if (!std::get<2>(it->first) && it->second.vlive != 0)
+                it = retained.erase(it);
+            else
+                ++it;
     }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        free_.clear();
-    }
-
-  private:
-    std::mutex mu_;
-    std::vector<std::unique_ptr<CutArena>> free_;
-};
-
-/** RAII checkout. */
-struct ArenaLease
-{
-    ArenaLease(ArenaPool &pool, Counter &reuse_hits)
-        : pool_(pool), arena_(pool.acquire(reuse_hits))
-    {
-    }
-    ~ArenaLease() { pool_.release(std::move(arena_)); }
-    CutArena &operator*() { return *arena_; }
-
-    ArenaPool &pool_;
-    std::unique_ptr<CutArena> arena_;
 };
 
 /** One enumerated cut problem, in canonical (apply) order. */
@@ -214,15 +157,9 @@ struct CutProblem
     const std::vector<std::pair<InstrId, InstrId>> *deps = nullptr;
 };
 
-/**
- * A solved cut, tagged with the relevant-set versions it was built
- * under. Valid for consumption only while both versions still match —
- * the determinism argument of the speculative solve phase.
- */
-struct CachedCut
+/** One solved cut, as the apply walk consumes it. */
+struct SolvedCut
 {
-    bool valid = false; ///< solve completed (no exception)
-    uint64_t vts = 0, vtt = 0;
     bool finite = true;
     Capacity cost = 0;
     PointList points; ///< normalized cut points (may be empty)
@@ -237,7 +174,7 @@ struct CachedCut
 };
 
 /** Aggregate per-arc (point, capacity) samples into the sorted
- *  per-point breakdown CachedCut carries. */
+ *  per-point breakdown SolvedCut carries. */
 void
 normalizeBreakdown(std::vector<CutPointCost> &b)
 {
@@ -266,20 +203,29 @@ struct CocoCounters
     Counter &solves;
     Counter &arcs;
     Counter &augmenting_paths;
-    Counter &arena_reuse;
     Counter &liveness_memo_hits;
-    Counter &spec_rounds;
-    Counter &spec_hits;
-    Counter &spec_misses;
     Counter &warm_starts;
     Counter &cold_rebuilds;
-    Counter &relabel_global;
 
     /** Per-call tallies (the Counter refs are process-global and
      *  aggregate across concurrent cells; CocoResult wants this
      *  call's share). */
-    std::atomic<uint64_t> warm_local{0};
-    std::atomic<uint64_t> cold_local{0};
+    uint64_t warm_local = 0;
+    uint64_t cold_local = 0;
+
+    void
+    warm()
+    {
+        warm_starts.add();
+        ++warm_local;
+    }
+
+    void
+    cold()
+    {
+        cold_rebuilds.add();
+        ++cold_local;
+    }
 
     static CocoCounters
     resolve()
@@ -289,14 +235,9 @@ struct CocoCounters
                             m.counter("coco.solves"),
                             m.counter("coco.arcs"),
                             m.counter("coco.augmenting_paths"),
-                            m.counter("coco.arena_reuse"),
                             m.counter("coco.liveness_memo_hits"),
-                            m.counter("coco.spec_rounds"),
-                            m.counter("coco.spec_hits"),
-                            m.counter("coco.spec_misses"),
                             m.counter("coco.warm_starts"),
-                            m.counter("coco.cold_rebuilds"),
-                            m.counter("coco.relabel_global")};
+                            m.counter("coco.cold_rebuilds")};
     }
 };
 
@@ -309,7 +250,6 @@ captureProblem(CutProblemCapture *capture, const FlowGraph &fg,
 {
     if (!capture)
         return;
-    std::lock_guard<std::mutex> lock(capture->mu);
     capture->entries.emplace_back();
     CutProblemCapture::Entry &e = capture->entries.back();
     e.is_mem = is_mem;
@@ -324,15 +264,14 @@ captureProblem(CutProblemCapture *capture, const FlowGraph &fg,
     e.pairs = fg.pairs;
 }
 
-/** Min-cut for one register problem (shared by the speculative tasks
- *  and the inline apply path — identical code, identical cut).
- *  @p vlive is the version of the liveness snapshot @p live (the
- *  topology tag of the graph this solve builds or reuses). */
+/** Min-cut for one register problem. @p vlive is the version of the
+ *  liveness snapshot @p live (the topology tag of the graph this
+ *  solve builds or reuses). */
 void
 solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
             const ThreadLiveness &live, uint64_t vlive, Reg r, int ts,
             int tt, const CocoOptions &opts, CutArena &arena,
-            CocoCounters &c, CutProblemCapture *capture, CachedCut &out)
+            CocoCounters &c, CutProblemCapture *capture, SolvedCut &out)
 {
     out.finite = true;
     out.cost = 0;
@@ -352,13 +291,10 @@ solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
                       rg.vlive == vlive &&
                       (rg.solved || rg.fg.trivial);
     out.warm = warm;
-    arena.mf.setAlgorithm(opts.flow_algo);
     uint64_t paths0 = arena.mf.stats().augmenting_paths;
-    uint64_t relabels0 = arena.mf.stats().global_relabels;
     Capacity flow = 0;
     if (warm) {
-        c.warm_starts.add();
-        c.warm_local.fetch_add(1, std::memory_order_relaxed);
+        c.warm();
         if (rg.fg.trivial)
             return;
         diffFlowGraphCosts(in, ts, tt, rg.fg, arena.scratch,
@@ -369,8 +305,7 @@ solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
         flow = arena.mf.resolve(arena.deltas);
         rg.solved = true;
     } else {
-        c.cold_rebuilds.add();
-        c.cold_local.fetch_add(1, std::memory_order_relaxed);
+        c.cold();
         buildRegisterFlowGraph(in, safety, live, r, ts, tt, rg.fg,
                                arena.scratch);
         rg.built = true;
@@ -385,7 +320,6 @@ solveRegCut(const FlowGraphInputs &in, const SafetyAnalysis &safety,
     }
     rg.flow = flow;
     c.augmenting_paths.add(arena.mf.stats().augmenting_paths - paths0);
-    c.relabel_global.add(arena.mf.stats().global_relabels - relabels0);
     out.finite = arena.mf.finite();
     if (!out.finite)
         return;
@@ -409,7 +343,7 @@ void
 solveMemCut(const FlowGraphInputs &in,
             const std::vector<std::pair<InstrId, InstrId>> &deps,
             int ts, int tt, const CocoOptions &opts, CutArena &arena,
-            CocoCounters &c, CutProblemCapture *capture, CachedCut &out)
+            CocoCounters &c, CutProblemCapture *capture, SolvedCut &out)
 {
     out.finite = true;
     out.cost = 0;
@@ -428,30 +362,26 @@ solveMemCut(const FlowGraphInputs &in,
                       rg.fg.pairs.size() == deps.size() &&
                       (opts.multi_pair_memory || rg.solved);
     out.warm = warm;
-    arena.mf.setAlgorithm(opts.flow_algo);
     uint64_t paths0 = arena.mf.stats().augmenting_paths;
-    uint64_t relabels0 = arena.mf.stats().global_relabels;
     MultiCutResult cut;
     if (warm && opts.multi_pair_memory) {
         // The sequential heuristic re-solves with fresh terminals per
         // pair and consumes the network via removeArc, so the warm
         // win here is build reuse: refresh the costs that moved and
         // rewind the residuals + removals to the pristine state.
-        c.warm_starts.add();
-        c.warm_local.fetch_add(1, std::memory_order_relaxed);
+        c.warm();
         diffFlowGraphCosts(in, ts, tt, rg.fg, arena.scratch,
                            arena.deltas);
         rg.fg.net.clearRemoved();
         for (const ArcDelta &d : arena.deltas)
             rg.fg.net.setArcCapacity(d.arc, d.cap);
         rg.fg.net.restoreResiduals();
-        cut = multiPairMinCut(rg.fg.net, rg.fg.pairs, opts.flow_algo,
-                              CutSide::Sink, &arena.mf);
+        cut = multiPairMinCut(rg.fg.net, rg.fg.pairs, CutSide::Sink,
+                              &arena.mf);
     } else if (warm) {
         // Super-pair mode is one fixed-terminal problem: a true warm
         // start from the retained residual.
-        c.warm_starts.add();
-        c.warm_local.fetch_add(1, std::memory_order_relaxed);
+        c.warm();
         diffFlowGraphCosts(in, ts, tt, rg.fg, arena.scratch,
                            arena.deltas);
         arena.mf.attachSolved(rg.fg.net, rg.super_s, rg.super_t,
@@ -465,20 +395,17 @@ solveMemCut(const FlowGraphInputs &in,
             cut.cost += rg.fg.net.arcCapacity(a);
         }
     } else {
-        c.cold_rebuilds.add();
-        c.cold_local.fetch_add(1, std::memory_order_relaxed);
+        c.cold();
         buildMemoryFlowGraph(in, deps, ts, tt, rg.fg, arena.scratch);
         rg.built = true;
         rg.solved = false;
         rg.super_s = rg.super_t = -1;
         c.arcs.add(static_cast<uint64_t>(rg.fg.net.numArcs()));
         if (opts.multi_pair_memory) {
-            cut = multiPairMinCut(rg.fg.net, rg.fg.pairs,
-                                  opts.flow_algo, CutSide::Sink,
+            cut = multiPairMinCut(rg.fg.net, rg.fg.pairs, CutSide::Sink,
                                   &arena.mf);
         } else {
-            cut = superPairMinCut(rg.fg.net, rg.fg.pairs,
-                                  opts.flow_algo, &arena.mf,
+            cut = superPairMinCut(rg.fg.net, rg.fg.pairs, &arena.mf,
                                   &rg.super_s, &rg.super_t);
             if (rg.super_s >= 0) {
                 rg.flow = arena.mf.lastFlow();
@@ -487,7 +414,6 @@ solveMemCut(const FlowGraphInputs &in,
         }
     }
     c.augmenting_paths.add(arena.mf.stats().augmenting_paths - paths0);
-    c.relabel_global.add(arena.mf.stats().global_relabels - relabels0);
     out.finite = cut.finite;
     if (!out.finite)
         return;
@@ -509,7 +435,7 @@ solveMemCut(const FlowGraphInputs &in,
 
 struct CocoArenaCache::Impl
 {
-    ArenaPool pool;
+    CutArena arena;
 };
 
 CocoArenaCache::CocoArenaCache() : impl_(std::make_unique<Impl>()) {}
@@ -519,7 +445,7 @@ CocoArenaCache::~CocoArenaCache() = default;
 void
 CocoArenaCache::flush()
 {
-    impl_->pool.clear();
+    impl_->arena = CutArena{};
 }
 
 CocoResult
@@ -562,9 +488,9 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     }
 
     // Relevant-set version counters: bumped whenever rule-2 growth
-    // actually adds a branch. A speculative cut solved under versions
-    // (vts, vtt) is byte-equivalent to the serial solve exactly while
-    // both versions still match at its place in the apply walk.
+    // actually adds a branch. They key the liveness memo below and tag
+    // each retained register graph with the snapshot it was built
+    // under (the warm-start topology check).
     std::vector<uint64_t> rel_version(nt, 0);
     auto grow = [&](int tt, const ProgramPoint &p) {
         if (growRelevantForPoint(f, cd, relevant[tt], p))
@@ -591,24 +517,15 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                     .first->second;
     };
 
-    // Solved-cut cache, persistent across speculation rounds and
-    // repeat-until iterations (validity is version-checked, and the
-    // relevant sets are monotone, so stale entries never revalidate).
-    std::map<ProblemKey, CachedCut> cut_cache;
-    auto slotFor = [&](const CutProblem &p) -> CachedCut & {
-        return cut_cache[ProblemKey{p.ts, p.tt, p.is_mem, p.r}];
-    };
-
-    // Arenas either live for this call only or are adopted from the
-    // caller's cross-call cache (autotuner re-cuts warm-start from
+    // The arena either lives for this call only or is adopted from
+    // the caller's cross-call cache (autotuner re-cuts warm-start from
     // the previous call's retained residuals).
-    ArenaPool local_arenas;
-    ArenaPool &arenas = exec.arena_cache != nullptr
-                            ? exec.arena_cache->impl()->pool
-                            : local_arenas;
+    CutArena local_arena;
+    CutArena &arena = exec.arena_cache != nullptr
+                          ? exec.arena_cache->impl()->arena
+                          : local_arena;
     if (exec.arena_cache != nullptr)
-        arenas.dropStaleRetained();
-    const bool parallel = exec.pool != nullptr && exec.jobs > 1;
+        arena.dropStaleRetained();
 
     // Flat sorted accumulators (same iteration order as the old
     // std::map-keyed ones: ascending unique keys).
@@ -753,118 +670,13 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                                &relevant, &trans_deps,
                                opts.control_flow_penalties};
 
-        auto specable = [&](const CutProblem &p) {
-            return p.is_mem ? opts.optimize_memory
-                            : opts.optimize_registers;
-        };
-        auto fresh = [&](const CutProblem &p) {
-            const CachedCut &slot = slotFor(p);
-            return slot.valid && slot.vts == rel_version[p.ts] &&
-                   slot.vtt == rel_version[p.tt];
-        };
-
-        // ---- Phase 2: speculative parallel solve. Relevant sets are
-        // frozen while a round runs (the apply walk is paused), so
-        // every task reads a consistent snapshot; results are tagged
-        // with the snapshot versions. ----
-        auto speculate = [&](size_t from) {
-            counters.spec_rounds.add();
-            // Materialize the livenesses tasks will share (serial:
-            // the memo map must not be mutated concurrently).
-            for (size_t j = from; j < problems.size(); ++j) {
-                const CutProblem &p = problems[j];
-                if (specable(p) && !fresh(p) && !p.is_mem)
-                    livenessFor(p.tt);
-            }
-            struct SpecTask
-            {
-                CachedCut *slot;
-                const ThreadLiveness *live;
-                uint64_t vts, vtt;
-                const CutProblem *pp;
-            };
-            std::vector<SpecTask> todo;
-            for (size_t j = from; j < problems.size(); ++j) {
-                const CutProblem &p = problems[j];
-                if (!specable(p) || fresh(p))
-                    continue;
-                CachedCut *slot = &slotFor(p);
-                slot->valid = false;
-                const ThreadLiveness *live =
-                    p.is_mem ? nullptr : &livenessFor(p.tt);
-                todo.push_back({slot, live, rel_version[p.ts],
-                                rel_version[p.tt], &problems[j]});
-            }
-            // Batch the solves: individual cuts are microseconds, so
-            // one task per cut would drown in dispatch overhead.
-            // ~4 chunks per worker keeps the pool load-balanced while
-            // amortizing the queue mutex and the arena lease.
-            const size_t chunk = std::max<size_t>(
-                1, todo.size() /
-                       (static_cast<size_t>(std::max(exec.jobs, 1)) *
-                        4));
-            TaskGroup group(*exec.pool);
-            for (size_t b = 0; b < todo.size(); b += chunk) {
-                const size_t e = std::min(todo.size(), b + chunk);
-                group.run([&, b, e] {
-                    ArenaLease arena(arenas, counters.arena_reuse);
-                    for (size_t k = b; k < e; ++k) {
-                        const SpecTask &t = todo[k];
-                        double t0 =
-                            exec.trace ? exec.trace->nowUs() : 0.0;
-                        try {
-                            if (t.pp->is_mem)
-                                solveMemCut(inputs, *t.pp->deps,
-                                            t.pp->ts, t.pp->tt, opts,
-                                            *arena, counters,
-                                            exec.capture, *t.slot);
-                            else
-                                solveRegCut(inputs,
-                                            *safety[t.pp->ts],
-                                            *t.live, t.vtt, t.pp->r,
-                                            t.pp->ts, t.pp->tt, opts,
-                                            *arena, counters,
-                                            exec.capture, *t.slot);
-                            t.slot->vts = t.vts;
-                            t.slot->vtt = t.vtt;
-                            t.slot->valid = true;
-                        } catch (...) {
-                            // Solve failures (e.g. no finite cut)
-                            // replay deterministically on the apply
-                            // thread.
-                            t.slot->valid = false;
-                        }
-                        if (exec.trace) {
-                            exec.trace->completeEvent(
-                                t.pp->is_mem ? "coco-mem-cut"
-                                             : "coco-reg-cut",
-                                "coco", TraceCollector::kPipelinePid,
-                                exec.trace->laneForThisThread(), t0,
-                                exec.trace->nowUs() - t0, {},
-                                {{"ts", t.pp->ts},
-                                 {"tt", t.pp->tt}});
-                        }
-                    }
-                });
-            }
-            group.wait();
-        };
-
-        if (parallel && problems.size() > 1)
-            speculate(0);
-
-        // ---- Phase 3: apply in canonical order. This walk *is* the
-        // serial algorithm; a precomputed cut is consumed only when
-        // its versions prove the serial solve would have built the
-        // identical graph, otherwise it is re-solved inline. ----
+        // ---- Phase 2: solve and apply in canonical order. ----
         std::vector<std::pair<RegKey, PointList>> new_reg;
         std::vector<std::pair<PairKey, PointList>> new_mem;
         std::vector<std::pair<RegKey, PlacementDecision>> new_reg_dec;
         std::vector<std::pair<PairKey, PlacementDecision>> new_mem_dec;
 
-        ArenaLease main_arena(arenas, counters.arena_reuse);
-        CachedCut inline_cut;
-
+        SolvedCut cut;
         int cur_pair = -1;
         uint64_t pair_entry_vtt = 0;
         const ThreadLiveness *live = nullptr;
@@ -872,19 +684,6 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         for (size_t i = 0; i < problems.size(); ++i) {
             const CutProblem &p = problems[i];
             if (p.pair_idx != cur_pair) {
-                // Pair boundary: if speculation went stale (earlier
-                // pairs grew a relevant set), re-solve the remaining
-                // tail in parallel before continuing.
-                if (parallel && specable(p) && !fresh(p)) {
-                    size_t stale = 0;
-                    for (size_t j = i; j < problems.size(); ++j) {
-                        if (specable(problems[j]) &&
-                            !fresh(problems[j]))
-                            ++stale;
-                    }
-                    if (stale >= 2)
-                        speculate(i);
-                }
                 cur_pair = p.pair_idx;
                 pair_entry_vtt = rel_version[p.tt];
                 // Snapshot of tt's relevant branches for liveness.
@@ -893,48 +692,15 @@ cocoOptimize(const Function &f, const Pdg &pdg,
 
             if (!p.is_mem) {
                 PointList points;
-                const CachedCut *used_cut = nullptr;
+                const SolvedCut *used_cut = nullptr;
                 if (opts.optimize_registers) {
-                    CachedCut &slot = slotFor(p);
-                    // The serial solve reads relevant[ts] and
-                    // relevant[tt] (graph) plus the pair-entry
-                    // liveness snapshot; the cached cut matches iff
-                    // all three inputs are provably unchanged.
-                    bool usable = parallel && slot.valid &&
-                                  slot.vts == rel_version[p.ts] &&
-                                  slot.vtt == rel_version[p.tt] &&
-                                  rel_version[p.tt] == pair_entry_vtt;
-                    const CachedCut *cut = nullptr;
-                    if (usable) {
-                        counters.spec_hits.add();
-                        cut = &slot;
-                    } else {
-                        if (parallel)
-                            counters.spec_misses.add();
-                        solveRegCut(inputs, *safety[p.ts], *live,
-                                    pair_entry_vtt, p.r, p.ts, p.tt,
-                                    opts, *main_arena, counters,
-                                    exec.capture, inline_cut);
-                        // An inline solve taken with an un-grown pair
-                        // (liveness version == current version) is
-                        // itself a valid cache entry for later
-                        // iterations.
-                        if (parallel &&
-                            rel_version[p.tt] == pair_entry_vtt) {
-                            slot = inline_cut;
-                            slot.vts = rel_version[p.ts];
-                            slot.vtt = rel_version[p.tt];
-                            slot.valid = true;
-                            cut = &slot;
-                        } else {
-                            cut = &inline_cut;
-                        }
-                    }
-                    GMT_ASSERT(cut->finite,
-                               "no finite register cut");
-                    result.register_cut_cost += cut->cost;
-                    points = cut->points;
-                    used_cut = cut;
+                    solveRegCut(inputs, *safety[p.ts], *live,
+                                pair_entry_vtt, p.r, p.ts, p.tt, opts,
+                                arena, counters, exec.capture, cut);
+                    GMT_ASSERT(cut.finite, "no finite register cut");
+                    result.register_cut_cost += cut.cost;
+                    points = cut.points;
+                    used_cut = &cut;
                 }
                 const bool from_cut = !points.empty();
                 if (points.empty()) {
@@ -980,38 +746,14 @@ cocoOptimize(const Function &f, const Pdg &pdg,
                     grow(p.tt, pt);
             } else {
                 PointList points;
-                const CachedCut *used_cut = nullptr;
+                const SolvedCut *used_cut = nullptr;
                 if (opts.optimize_memory) {
-                    CachedCut &slot = slotFor(p);
-                    // Memory graphs read no liveness, so the pair-
-                    // entry condition drops out.
-                    bool usable = parallel && slot.valid &&
-                                  slot.vts == rel_version[p.ts] &&
-                                  slot.vtt == rel_version[p.tt];
-                    const CachedCut *cut = nullptr;
-                    if (usable) {
-                        counters.spec_hits.add();
-                        cut = &slot;
-                    } else {
-                        if (parallel)
-                            counters.spec_misses.add();
-                        solveMemCut(inputs, *p.deps, p.ts, p.tt, opts,
-                                    *main_arena, counters,
-                                    exec.capture, inline_cut);
-                        if (parallel) {
-                            slot = inline_cut;
-                            slot.vts = rel_version[p.ts];
-                            slot.vtt = rel_version[p.tt];
-                            slot.valid = true;
-                            cut = &slot;
-                        } else {
-                            cut = &inline_cut;
-                        }
-                    }
-                    GMT_ASSERT(cut->finite, "no finite memory cut");
-                    result.memory_cut_cost += cut->cost;
-                    points = cut->points;
-                    used_cut = cut;
+                    solveMemCut(inputs, *p.deps, p.ts, p.tt, opts, arena,
+                                counters, exec.capture, cut);
+                    GMT_ASSERT(cut.finite, "no finite memory cut");
+                    result.memory_cut_cost += cut.cost;
+                    points = cut.points;
+                    used_cut = &cut;
                 } else {
                     for (auto [src, _] : *p.deps) {
                         points.push_back({f.instr(src).block,
@@ -1133,10 +875,8 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         result.plan.placements.push_back(
             {CommKind::MemorySync, kNoReg, ts, tt, points});
     }
-    result.warm_starts =
-        counters.warm_local.load(std::memory_order_relaxed);
-    result.cold_rebuilds =
-        counters.cold_local.load(std::memory_order_relaxed);
+    result.warm_starts = counters.warm_local;
+    result.cold_rebuilds = counters.cold_local;
     return result;
 }
 

@@ -12,7 +12,6 @@
  */
 
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -26,15 +25,9 @@
 namespace gmt
 {
 
-class ThreadPool;
-class TraceCollector;
-
 /** COCO configuration (ablation switches included). */
 struct CocoOptions
 {
-    /** Single-pair max-flow algorithm (paper uses Edmonds-Karp). */
-    FlowAlgorithm flow_algo = FlowAlgorithm::EdmondsKarp;
-
     /** §3.1.2 control-flow penalties on arc costs. */
     bool control_flow_penalties = true;
 
@@ -51,7 +44,7 @@ struct CocoOptions
     bool multi_pair_memory = true;
 
     /**
-     * Warm-start repeated cut problems: each worker arena retains the
+     * Warm-start repeated cut problems: the cut arena retains the
      * last-built flow graph per (pair class, thread pair) and, when
      * the topology is provably unchanged (same liveness snapshot
      * version for register graphs; memory graph topology is fixed by
@@ -72,10 +65,10 @@ struct CocoOptions
 /**
  * Optional capture sink for the cut problems COCO actually solves:
  * each solved problem's network (pristine residuals, post-refresh
- * capacities), terminals, and identity are appended. Consumed by
- * bench/micro_mincut to sweep solver algorithms and warm-start chains
- * over real problem traces rather than synthetic networks. Capture
- * from a serial run (jobs <= 1) for a deterministic entry order.
+ * capacities), terminals, and identity are appended, in solve order.
+ * Consumed by bench/micro_mincut to time cold solves and replay
+ * warm-start chains over real problem traces rather than synthetic
+ * networks.
  */
 struct CutProblemCapture
 {
@@ -95,13 +88,12 @@ struct CutProblemCapture
         std::vector<std::pair<int, int>> pairs;
     };
 
-    std::mutex mu;
     std::vector<Entry> entries;
 };
 
 /**
- * Opaque handle to COCO's worker arenas (retained flow graphs +
- * max-flow residuals) that survives across cocoOptimize calls, so a
+ * Opaque handle to COCO's cut arena (retained flow graphs + max-flow
+ * residuals) that survives across cocoOptimize calls, so a
  * re-cut of the *same partition* with shifted arc costs (the
  * autotuner's stall-boosted profiles) warm-starts from the previous
  * call's residuals via MaxFlow::resolve instead of solving from zero.
@@ -135,37 +127,24 @@ class CocoArenaCache
 };
 
 /**
- * Execution resources for the optimizer. COCO's cut problems are
- * solved speculatively in parallel on the shared pool (nested inside
- * the experiment runner's cell-level tasks via TaskGroup), then
- * applied serially in canonical order, so the plan is bit-identical
- * to the serial result at any job count. Defaults mean "all inline".
+ * Optional sinks and caches for one optimizer call. Cut problems are
+ * solved one at a time in canonical order; defaults mean "none".
  */
 struct CocoExec
 {
-    /** Shared worker pool (may be null: solve inline). */
-    ThreadPool *pool = nullptr;
-
-    /** Parallelism switch: <= 1 solves every cut inline (serial). */
-    int jobs = 1;
-
-    /** Optional Chrome-trace collector for per-solve spans. */
-    TraceCollector *trace = nullptr;
-
     /** Optional cut-problem capture sink (bench/micro_mincut). */
     CutProblemCapture *capture = nullptr;
 
     /**
      * Optional decision-provenance sink: per-placement rule,
-     * Algorithm-2 iteration, cut problem id, and arc-cost breakdown,
-     * recorded exclusively on the serial apply walk — identical at
-     * any job count and warm or cold (the min cut is unique).
+     * Algorithm-2 iteration, cut problem id, and arc-cost breakdown —
+     * identical warm or cold (the min cut is unique).
      */
     PlacementProvenance *provenance = nullptr;
 
     /**
      * Optional cross-call arena cache (see CocoArenaCache). Null =
-     * arenas are local to the call (no cross-call warm starts).
+     * the arena is local to the call (no cross-call warm starts).
      */
     CocoArenaCache *arena_cache = nullptr;
 };

@@ -21,10 +21,10 @@ usage(const char *argv0, int exit_code)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--jobs N] [--serial] [--coco-jobs N] "
-        "[--no-cache] [--stats FILE] [--only W1,W2,...] [--quiet] "
-        "[--no-mtverify] [--sim fast|reference] [--trace FILE] "
-        "[--workload-dir DIR] [--provenance FILE]\n",
+        "usage: %s [--jobs N] [--serial] [--no-cache] [--stats FILE] "
+        "[--only W1,W2,...] [--quiet] [--no-mtverify] "
+        "[--sim fast|reference] [--trace FILE] [--workload-dir DIR] "
+        "[--provenance FILE]\n",
         argv0);
     std::exit(exit_code);
 }
@@ -65,8 +65,6 @@ parseBenchOptions(int argc, char **argv)
             opts.jobs = std::atoi(value().c_str());
         else if (arg == "--serial")
             opts.jobs = 1;
-        else if (arg == "--coco-jobs")
-            opts.coco_jobs = std::atoi(value().c_str());
         else if (arg == "--no-cache")
             opts.use_cache = false;
         else if (arg == "--stats")
@@ -180,8 +178,6 @@ BenchHarness::runAll(const std::vector<ExperimentCell> &cells)
         if (!opts_.verify_mt)
             cell.opts.verify_mt = false;
         cell.opts.sim_engine = opts_.sim_engine;
-        if (opts_.coco_jobs > 0)
-            cell.opts.coco_jobs = opts_.coco_jobs;
         if (!opts_.provenance_path.empty())
             cell.opts.record_provenance = true;
     }

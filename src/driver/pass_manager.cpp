@@ -91,7 +91,6 @@ planKey(const PipelineContext &ctx)
         return key + "|mtcg-default";
     const CocoOptions &c = ctx.opts.coco;
     key += "|coco";
-    key += "|flow=" + std::to_string(static_cast<int>(c.flow_algo));
     key += c.control_flow_penalties ? "|cfp=1" : "|cfp=0";
     key += c.optimize_registers ? "|reg=1" : "|reg=0";
     key += c.optimize_memory ? "|mem=1" : "|mem=0";
@@ -508,15 +507,10 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
             const ControlDependence &cd = ctx.pdg->cd;
             auto art = std::make_shared<PlanArtifact>();
             if (ctx.opts.use_coco) {
-                // The plan is bit-identical at any job count (the
-                // artifact may be shared across cells that differ
-                // only in coco_jobs — planKey() has no jobs axis).
-                CocoExec exec{ctx.pool, ctx.opts.coco_jobs,
-                              ctx.trace};
                 auto coco = cocoOptimize(f, pdg,
                                          ctx.partition->partition, cd,
                                          ctx.profile->profile,
-                                         ctx.opts.coco, exec);
+                                         ctx.opts.coco);
                 art->plan = std::move(coco.plan);
                 art->coco_iterations = coco.iterations;
                 auto problems =
@@ -839,8 +833,6 @@ makeAutotuneInputs(const PipelineContext &ctx)
     in.make_memory = [&w]() { return workloadMemory(w, /*ref=*/true); };
     in.st_live_outs = &ctx.st_ref->live_outs;
     in.st_final_mem = &ctx.st_ref->final_mem;
-    in.pool = ctx.pool;
-    in.coco_jobs = ctx.opts.coco_jobs;
     return in;
 }
 
@@ -1165,7 +1157,7 @@ passObsProvenance(PipelineContext &ctx, PassStats &ps)
 
             // Placement decisions.
             if (opts.use_coco) {
-                CocoExec exec; // all inline: the serial apply walk
+                CocoExec exec;
                 exec.provenance = &p.placement;
                 auto coco = cocoOptimize(
                     ir->func, pdg_art->pdg, part->partition,

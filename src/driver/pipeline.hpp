@@ -41,10 +41,9 @@ struct PipelineOptions
     CocoOptions coco;
 
     /**
-     * Worker tasks for COCO's cut solver (nested in the experiment
-     * runner's shared pool); <= 1 solves serially. The comm plan is
-     * bit-identical at any value — this is an execution resource, not
-     * a result axis, so it is deliberately absent from planKey().
+     * Read by nothing: COCO always solves its cuts serially. Kept
+     * only because the frozen benchmark program assigns it; it goes
+     * with the next change to the benchmark.
      */
     int coco_jobs = 1;
 

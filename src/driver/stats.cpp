@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace gmt
 {
@@ -12,26 +13,7 @@ namespace gmt
 std::string
 JsonObject::escape(const std::string &s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
+    return jsonEscape(s);
 }
 
 void

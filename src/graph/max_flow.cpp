@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <queue>
 
 #include "support/error.hpp"
 
@@ -98,12 +97,9 @@ FlowNetwork::restoreResiduals()
     }
 }
 
-MaxFlow::MaxFlow(FlowNetwork &net, FlowAlgorithm algo)
-    : net_(&net), algo_(algo)
-{
-}
+MaxFlow::MaxFlow(FlowNetwork &net) : net_(&net) {}
 
-MaxFlow::MaxFlow(FlowAlgorithm algo) : net_(nullptr), algo_(algo) {}
+MaxFlow::MaxFlow() : net_(nullptr) {}
 
 void
 MaxFlow::attach(FlowNetwork &net)
@@ -133,41 +129,17 @@ MaxFlow::reset()
 }
 
 Capacity
-MaxFlow::runAlgorithm(int s, int t)
-{
-    switch (algo_) {
-      case FlowAlgorithm::EdmondsKarp:
-        return solveEdmondsKarp(s, t);
-      case FlowAlgorithm::Dinic:
-        return solveDinic(s, t, /*reverse_levels=*/false);
-      case FlowAlgorithm::DinicPruned:
-        return solveDinic(s, t, /*reverse_levels=*/true);
-      case FlowAlgorithm::PushRelabel:
-        return solvePushRelabel(s, t);
-    }
-    panic("unknown flow algorithm");
-}
-
-Capacity
 MaxFlow::solve(int s, int t)
 {
     GMT_ASSERT(net_, "solve() on a detached MaxFlow");
     GMT_ASSERT(s != t);
     last_s_ = s;
     last_t_ = t;
-    runAlgorithm(s, t);
-    // Derive the value from the residual state rather than the
-    // algorithm's push count: identical across cold solves, repeated
-    // solves on a dirty residual, and warm resolves.
+    augmentLimited(s, t, std::numeric_limits<Capacity>::max());
+    // Derive the value from the residual state rather than the push
+    // count: identical across cold solves, repeated solves on a dirty
+    // residual, and warm resolves.
     last_flow_ = currentFlowValue(s);
-#if !defined(NDEBUG) || defined(GMT_FLOW_CROSSCHECK)
-    // Differential for every fast path: the source-side (and
-    // sink-side) minimum cut of a network is unique across maximum
-    // flows, so any correct solver must report exactly the reference
-    // algorithm's cut.
-    if (algo_ != FlowAlgorithm::EdmondsKarp)
-        crosscheckAgainstReference("solve");
-#endif
     return last_flow_;
 }
 
@@ -243,57 +215,13 @@ MaxFlow::resolve(const std::vector<ArcDelta> &deltas)
                        "incremental repair: deficit refill failed");
         }
     }
-    // The repaired flow is feasible; push the rest of the way to max
-    // with the configured algorithm.
-    runAlgorithm(s, t);
+    // The repaired flow is feasible; push the rest of the way to max.
+    augmentLimited(s, t, std::numeric_limits<Capacity>::max());
     last_flow_ = currentFlowValue(s);
 #if !defined(NDEBUG) || defined(GMT_FLOW_CROSSCHECK)
     crosscheckAgainstReference("resolve");
 #endif
     return last_flow_;
-}
-
-Capacity
-MaxFlow::solveEdmondsKarp(int s, int t)
-{
-    auto &arcs = net_->arcs_;
-    Capacity total = 0;
-    pred_arc_.assign(net_->numNodes(), -1);
-    while (true) {
-        // BFS for a shortest augmenting path.
-        std::fill(pred_arc_.begin(), pred_arc_.end(), -1);
-        pred_arc_[s] = -2;
-        std::deque<int> queue{s};
-        while (!queue.empty() && pred_arc_[t] == -1) {
-            int u = queue.front();
-            queue.pop_front();
-            for (int a : net_->first_out_[u]) {
-                int v = arcs[a].to;
-                if (pred_arc_[v] == -1 && arcs[a].residual > 0) {
-                    pred_arc_[v] = a;
-                    queue.push_back(v);
-                }
-            }
-        }
-        if (pred_arc_[t] == -1)
-            break;
-        // Find the bottleneck and augment.
-        Capacity bottleneck = std::numeric_limits<Capacity>::max();
-        for (int v = t; v != s;) {
-            int a = pred_arc_[v];
-            bottleneck = std::min(bottleneck, arcs[a].residual);
-            v = arcs[a ^ 1].to;
-        }
-        for (int v = t; v != s;) {
-            int a = pred_arc_[v];
-            arcs[a].residual -= bottleneck;
-            arcs[a ^ 1].residual += bottleneck;
-            v = arcs[a ^ 1].to;
-        }
-        total += bottleneck;
-        ++stats_.augmenting_paths;
-    }
-    return total;
 }
 
 Capacity
@@ -354,315 +282,6 @@ MaxFlow::currentFlowValue(int s) const
             total -= net_->arcs_[b].residual;
     }
     return total;
-}
-
-Capacity
-MaxFlow::solveDinic(int s, int t, bool reverse_levels)
-{
-    auto &arcs = net_->arcs_;
-    const int n = net_->numNodes();
-    level_.assign(n, -1);
-    iter_.assign(n, 0);
-
-    // Forward levels: BFS distance from s over residual arcs; an
-    // admissible step increases the level. Reverse levels (the pruned
-    // fast path): BFS distance *to* t over residual arcs, walked
-    // backwards from t; an admissible step decreases the level, and
-    // any node that cannot reach t never gets a level at all — the
-    // blocking-flow DFS cannot wander into dead subgraphs the plain
-    // forward levelling still explores and retreats from.
-    auto bfs = [&]() -> bool {
-        std::fill(level_.begin(), level_.end(), -1);
-        if (reverse_levels) {
-            level_[t] = 0;
-            std::deque<int> queue{t};
-            while (!queue.empty()) {
-                int x = queue.front();
-                queue.pop_front();
-                // Arc y -> x has residual iff partner b^1 of the
-                // internal arc b = x -> y carries residual capacity.
-                for (int b : net_->first_out_[x]) {
-                    int y = arcs[b].to;
-                    if (level_[y] == -1 && arcs[b ^ 1].residual > 0) {
-                        level_[y] = level_[x] + 1;
-                        queue.push_back(y);
-                    }
-                }
-            }
-            return level_[s] != -1;
-        }
-        level_[s] = 0;
-        std::deque<int> queue{s};
-        while (!queue.empty()) {
-            int u = queue.front();
-            queue.pop_front();
-            for (int a : net_->first_out_[u]) {
-                int v = arcs[a].to;
-                if (level_[v] == -1 && arcs[a].residual > 0) {
-                    level_[v] = level_[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        return level_[t] != -1;
-    };
-
-    auto admissible = [&](int u, int v) {
-        return reverse_levels ? level_[u] == level_[v] + 1 &&
-                                    level_[u] != -1 && level_[v] != -1
-                              : level_[v] == level_[u] + 1;
-    };
-
-    // Iterative blocking-flow DFS.
-    Capacity total = 0;
-    path_.clear(); // internal arc ids along current path
-    while (bfs()) {
-        std::fill(iter_.begin(), iter_.end(), 0);
-        path_.clear();
-        int u = s;
-        while (true) {
-            if (u == t) {
-                Capacity bottleneck =
-                    std::numeric_limits<Capacity>::max();
-                for (int a : path_)
-                    bottleneck =
-                        std::min(bottleneck, arcs[a].residual);
-                for (int a : path_) {
-                    arcs[a].residual -= bottleneck;
-                    arcs[a ^ 1].residual += bottleneck;
-                }
-                total += bottleneck;
-                ++stats_.augmenting_paths;
-                // Retreat to the first saturated arc on the path.
-                size_t keep = 0;
-                while (keep < path_.size() &&
-                       arcs[path_[keep]].residual > 0) {
-                    ++keep;
-                }
-                path_.resize(keep);
-                u = path_.empty() ? s : arcs[path_.back()].to;
-                continue;
-            }
-            bool advanced = false;
-            auto &out = net_->first_out_[u];
-            for (int &i = iter_[u]; i < static_cast<int>(out.size());
-                 ++i) {
-                int a = out[i];
-                int v = arcs[a].to;
-                if (arcs[a].residual > 0 && admissible(u, v)) {
-                    path_.push_back(a);
-                    u = v;
-                    advanced = true;
-                    break;
-                }
-            }
-            if (!advanced) {
-                level_[u] = reverse_levels ? -2 : -1; // dead end
-                if (path_.empty())
-                    break;
-                path_.pop_back();
-                u = path_.empty() ? s : arcs[path_.back()].to;
-            }
-        }
-    }
-    return total;
-}
-
-void
-MaxFlow::globalRelabel(int s, int t)
-{
-    auto &arcs = net_->arcs_;
-    const int n = net_->numNodes();
-    const int max_h = 2 * n + 1;
-    ++stats_.global_relabels;
-
-    // Exact distance-to-t by reverse BFS over residual arcs (level_
-    // doubles as the distance array).
-    level_.assign(n, -1);
-    level_[t] = 0;
-    std::deque<int> queue{t};
-    while (!queue.empty()) {
-        int x = queue.front();
-        queue.pop_front();
-        for (int b : net_->first_out_[x]) {
-            int y = arcs[b].to;
-            if (level_[y] == -1 && arcs[b ^ 1].residual > 0) {
-                level_[y] = level_[x] + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-    // Nodes cut off from t can only return their excess to s: give
-    // them n + distance-to-s (pred_arc_ doubles as that distance).
-    pred_arc_.assign(n, -1);
-    pred_arc_[s] = 0;
-    queue.push_back(s);
-    while (!queue.empty()) {
-        int x = queue.front();
-        queue.pop_front();
-        for (int b : net_->first_out_[x]) {
-            int y = arcs[b].to;
-            if (pred_arc_[y] == -1 && arcs[b ^ 1].residual > 0) {
-                pred_arc_[y] = pred_arc_[x] + 1;
-                queue.push_back(y);
-            }
-        }
-    }
-    // Raise-only update: both the current labeling and the computed
-    // one are valid, and the pointwise max of valid labelings is
-    // valid — and never lowering a height preserves push-relabel's
-    // monotonicity (a node that once pushed into s keeps height > n
-    // even if a BFS would now give it a short distance-to-t).
-    for (int x = 0; x < n; ++x) {
-        int h;
-        if (x == s)
-            h = n;
-        else if (level_[x] >= 0)
-            h = level_[x];
-        else if (pred_arc_[x] >= 0)
-            h = n + pred_arc_[x];
-        else
-            h = max_h - 1; // reaches neither terminal: park high
-        if (h > height_[x])
-            height_[x] = h;
-    }
-    if (height_[s] < n)
-        height_[s] = n;
-
-    // Rebuild the gap counts and active buckets for the new heights.
-    height_count_.assign(max_h + 1, 0);
-    for (int x = 0; x < n; ++x)
-        ++height_count_[height_[x]];
-    if (static_cast<int>(bucket_.size()) < max_h + 1)
-        bucket_.resize(max_h + 1);
-    for (auto &b : bucket_)
-        b.clear();
-    for (int x = 0; x < n; ++x) {
-        if (x != s && x != t && excess_[x] > 0)
-            bucket_[height_[x]].push_back(x);
-    }
-}
-
-Capacity
-MaxFlow::solvePushRelabel(int s, int t)
-{
-    auto &arcs = net_->arcs_;
-    const int n = net_->numNodes();
-    const int max_h = 2 * n + 1;
-    excess_.assign(n, 0);
-    height_.assign(n, 0);
-    iter_.assign(n, 0);
-
-    // Convert the entering state (fresh residuals or a warm flow left
-    // by a previous solve) into a preflow: saturate every residual
-    // out-arc of s. Odd internal ids matter too — a warm residual can
-    // carry flow into s, whose reverse arcs also leave s.
-    for (int a : net_->first_out_[s]) {
-        int v = arcs[a].to;
-        if (v == s || arcs[a].residual <= 0)
-            continue;
-        Capacity d = arcs[a].residual;
-        arcs[a].residual = 0;
-        arcs[a ^ 1].residual += d;
-        excess_[v] += d;
-        ++stats_.augmenting_paths;
-    }
-
-    // Exact initial heights (this is why stats().global_relabels >= 1
-    // after every push-relabel solve); also builds buckets + counts.
-    globalRelabel(s, t);
-
-    // Periodic re-relabeling on a work budget: stale heights after
-    // many pushes make the highest-label rule wander.
-    uint64_t work = 0;
-    const uint64_t work_limit =
-        6ull * static_cast<uint64_t>(n) + arcs.size();
-
-    int hi = max_h;
-    while (hi >= 0) {
-        if (work > work_limit) {
-            work = 0;
-            globalRelabel(s, t);
-            hi = max_h;
-            continue;
-        }
-        if (bucket_[hi].empty()) {
-            --hi;
-            continue;
-        }
-        int u = bucket_[hi].back();
-        bucket_[hi].pop_back();
-        // Buckets hold lazy entries; skip the stale ones.
-        if (u == s || u == t || excess_[u] == 0 || height_[u] != hi)
-            continue;
-
-        // Discharge u completely: push along admissible arcs,
-        // relabel when the arc list is exhausted.
-        while (excess_[u] > 0) {
-            auto &out = net_->first_out_[u];
-            if (iter_[u] == static_cast<int>(out.size())) {
-                // Relabel: height = 1 + min over residual arcs.
-                work += out.size();
-                int min_h = max_h;
-                for (int a : out) {
-                    if (arcs[a].residual > 0)
-                        min_h = std::min(min_h, height_[arcs[a].to]);
-                }
-                GMT_ASSERT(min_h < max_h,
-                           "push-relabel height overflow");
-                int old_h = height_[u];
-                --height_count_[old_h];
-                height_[u] = min_h + 1;
-                ++height_count_[height_[u]];
-                iter_[u] = 0;
-                // Gap heuristic: an emptied height below n means no
-                // node above it can reach t any more — lift them all
-                // past n so they route their excess back to s.
-                if (old_h < n && height_count_[old_h] == 0) {
-                    ++stats_.gap_relabels;
-                    for (int x = 0; x < n; ++x) {
-                        if (x == s || x == t || height_[x] <= old_h ||
-                            height_[x] >= n) {
-                            continue;
-                        }
-                        --height_count_[height_[x]];
-                        height_[x] = n + 1;
-                        ++height_count_[n + 1];
-                        iter_[x] = 0;
-                        if (excess_[x] > 0)
-                            bucket_[n + 1].push_back(x);
-                    }
-                    if (hi < n + 1)
-                        hi = n + 1;
-                }
-                continue;
-            }
-            int a = out[iter_[u]];
-            int v = arcs[a].to;
-            if (arcs[a].residual > 0 &&
-                height_[u] == height_[v] + 1) {
-                Capacity d = std::min(excess_[u], arcs[a].residual);
-                arcs[a].residual -= d;
-                arcs[a ^ 1].residual += d;
-                excess_[u] -= d;
-                ++work;
-                ++stats_.augmenting_paths;
-                bool was_inactive = (excess_[v] == 0);
-                excess_[v] += d;
-                if (was_inactive && v != s && v != t)
-                    bucket_[height_[v]].push_back(v);
-            } else {
-                ++iter_[u];
-            }
-        }
-        // Relabels may have raised u (and so the heights of the nodes
-        // it just activated) above the scan pointer.
-        if (height_[u] > hi)
-            hi = height_[u];
-    }
-    // Every non-terminal excess has drained (to t, or back to s via
-    // heights above n), so the residual state is a genuine max flow.
-    return excess_[t];
 }
 
 std::vector<bool>
@@ -742,10 +361,10 @@ void
 MaxFlow::crosscheckAgainstReference(const char *what)
 {
     // Copy the network, rewind the copy to original capacities, and
-    // solve cold with the reference algorithm: flow value and both
-    // cut sides must agree exactly (cut uniqueness, not heuristics).
+    // solve it cold: flow value and both cut sides must agree exactly
+    // (cut uniqueness, not heuristics).
     FlowNetwork copy = *net_;
-    MaxFlow ref(copy, FlowAlgorithm::EdmondsKarp);
+    MaxFlow ref(copy);
     ref.reset();
     Capacity ref_flow = ref.solve(last_s_, last_t_);
     GMT_ASSERT(ref_flow == last_flow_,

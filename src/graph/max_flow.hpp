@@ -7,19 +7,15 @@
  *
  * COCO models every communication-placement decision as a min-cut
  * (paper §3.1): a cut arc is a program point where a produce/consume
- * pair is inserted. The paper's implementation uses Edmonds-Karp and
- * notes that preflow-push algorithms are available if compile time
- * matters; we provide Edmonds-Karp (the paper's choice), Dinic, a
- * reverse-BFS-pruned Dinic fast path, and highest-label push-relabel
- * with the gap heuristic and periodic global relabeling behind one
- * interface, compared in bench/micro_mincut.
+ * pair is inserted. The solver is Edmonds-Karp, the paper's choice:
+ * on COCO's small CFG-shaped networks it is faster cold than Dinic or
+ * push-relabel (EXPERIMENTS.md, "Compile time").
  *
  * Both FlowNetwork and MaxFlow are arena-friendly: reset(n) rewinds a
  * network without releasing its arc storage, and one MaxFlow instance
  * can be re-attached to successive networks, reusing its traversal
- * scratch. COCO's parallel cut solver keeps one of each per worker
- * and solves thousands of problems without re-allocating
- * (coco/coco.cpp).
+ * scratch. COCO keeps one of each in its cut arena and solves
+ * thousands of problems without re-allocating (coco/coco.cpp).
  *
  * Incremental solving: COCO's repeat-until loop re-solves networks
  * that differ from a previous solve by a handful of arc costs.
@@ -51,17 +47,6 @@ using Capacity = int64_t;
 inline constexpr Capacity kInfCapacity = int64_t{1} << 50;
 
 /**
- * Which augmenting algorithm MaxFlow::solve uses. DinicPruned levels
- * by reverse BFS from the sink, so blocking-flow search never walks
- * into subgraphs that cannot reach t; PushRelabel is highest-label
- * preflow-push with gap + global-relabel heuristics. All four find
- * the identical min cut (the source-side minimum cut of a network is
- * unique across maximum flows), asserted by the compiled-in
- * cross-check.
- */
-enum class FlowAlgorithm { EdmondsKarp, Dinic, PushRelabel, DinicPruned };
-
-/**
  * Which minimum cut to report when several have equal cost: the one
  * closest to the source (earliest program points — better pipelining
  * for register communication, paper §5) or closest to the sink
@@ -69,7 +54,7 @@ enum class FlowAlgorithm { EdmondsKarp, Dinic, PushRelabel, DinicPruned };
  * in the sequential multi-pair heuristic). Both sides are unique
  * across all maximum flows (the min-cut family forms a lattice whose
  * extreme elements are flow-independent), so the reported cut does
- * not depend on which algorithm ran or on warm-start history.
+ * not depend on warm-start history.
  */
 enum class CutSide { Source, Sink };
 
@@ -180,7 +165,8 @@ class FlowNetwork
 };
 
 /**
- * Max-flow solver over a FlowNetwork. The network's residual state is
+ * Edmonds-Karp max-flow solver over a FlowNetwork (shortest
+ * augmenting paths by BFS). The network's residual state is
  * mutated by solve(); call reset() to restore original capacities.
  * One instance can serve many networks via attach(), keeping its
  * traversal scratch vectors across solves.
@@ -188,36 +174,27 @@ class FlowNetwork
 class MaxFlow
 {
   public:
-    explicit MaxFlow(FlowNetwork &net,
-                     FlowAlgorithm algo = FlowAlgorithm::EdmondsKarp);
+    explicit MaxFlow(FlowNetwork &net);
 
     /** Detached solver for arena reuse; attach() before solve(). */
-    explicit MaxFlow(FlowAlgorithm algo = FlowAlgorithm::EdmondsKarp);
+    MaxFlow();
 
-    /** Rebind to another network (and optionally another algorithm). */
+    /** Rebind to another network. */
     void attach(FlowNetwork &net);
 
     /**
      * Rebind to a network whose residual state already encodes a
      * completed max-flow of value @p flow for (@p s, @p t) — e.g. a
-     * network retained by COCO's per-worker arena between iterations.
+     * network retained by COCO's cut arena between iterations.
      * resolve() may then be called directly, without a fresh solve().
      */
     void attachSolved(FlowNetwork &net, int s, int t, Capacity flow);
 
-    void setAlgorithm(FlowAlgorithm algo) { algo_ = algo; }
-
     /** Work counters, accumulated across solve() calls. */
     struct Stats
     {
-        /** Augmentations (EK/Dinic) or saturating pushes (preflow). */
+        /** Augmenting paths pushed (solve and resolve repair). */
         uint64_t augmenting_paths = 0;
-
-        /** Exact-distance global relabelings (PushRelabel only). */
-        uint64_t global_relabels = 0;
-
-        /** Gap-heuristic firings (PushRelabel only). */
-        uint64_t gap_relabels = 0;
 
         /** Warm-started resolve() calls. */
         uint64_t warm_resolves = 0;
@@ -259,25 +236,16 @@ class MaxFlow
     const Stats &stats() const { return stats_; }
 
   private:
-    Capacity solveEdmondsKarp(int s, int t);
-    Capacity solveDinic(int s, int t, bool reverse_levels);
-    Capacity solvePushRelabel(int s, int t);
-
-    /** Dispatch on algo_ over the current residual state. */
-    Capacity runAlgorithm(int s, int t);
-
     /**
      * Push at most @p limit units from @p from to @p to along
      * residual paths (shortest-path augmentations). Returns the
-     * amount actually pushed. The repair primitive of resolve().
+     * amount actually pushed. Unlimited, s to t, it is the solver;
+     * limited, it is the repair primitive of resolve().
      */
     Capacity augmentLimited(int from, int to, Capacity limit);
 
     /** Net flow out of @p s under the current residual state. */
     Capacity currentFlowValue(int s) const;
-
-    /** Exact-distance heights for push-relabel (reverse BFS). */
-    void globalRelabel(int s, int t);
 
     /** Nodes reachable from s in the residual graph. */
     std::vector<bool> residualReachable(int s) const;
@@ -286,24 +254,19 @@ class MaxFlow
     std::vector<bool> residualReaching(int t) const;
 
 #if !defined(NDEBUG) || defined(GMT_FLOW_CROSSCHECK)
-    /** Differential gate: cold Edmonds-Karp must agree exactly. */
+    /** Differential gate: a cold solve must agree exactly. */
     void crosscheckAgainstReference(const char *what);
 #endif
 
     FlowNetwork *net_;
-    FlowAlgorithm algo_;
     int last_s_ = -1;
     int last_t_ = -1;
     Capacity last_flow_ = 0;
     Stats stats_;
 
-    // Traversal scratch, reused across solves (and, via attach(),
-    // across networks).
-    std::vector<int> level_, iter_, pred_arc_, path_;
-    std::vector<Capacity> excess_;
-    std::vector<int> height_;
-    std::vector<int> height_count_;        // push-relabel gap heuristic
-    std::vector<std::vector<int>> bucket_; // active nodes by height
+    // BFS scratch, reused across solves (and, via attach(), across
+    // networks).
+    std::vector<int> pred_arc_;
 };
 
 } // namespace gmt

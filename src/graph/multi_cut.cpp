@@ -10,12 +10,11 @@ namespace gmt
 MultiCutResult
 multiPairMinCut(FlowNetwork &net,
                 const std::vector<std::pair<int, int>> &pairs,
-                FlowAlgorithm algo, CutSide side, MaxFlow *arena)
+                CutSide side, MaxFlow *arena)
 {
     MultiCutResult result;
-    MaxFlow local(algo);
+    MaxFlow local;
     MaxFlow &mf = arena ? *arena : local;
-    mf.setAlgorithm(algo);
     std::vector<bool> cut_already(net.numArcs(), false);
     for (auto [s, t] : pairs) {
         GMT_ASSERT(s != t, "degenerate memory dependence pair");
@@ -45,7 +44,7 @@ multiPairMinCut(FlowNetwork &net,
 MultiCutResult
 superPairMinCut(FlowNetwork &net,
                 const std::vector<std::pair<int, int>> &pairs,
-                FlowAlgorithm algo, MaxFlow *arena, int *super_s_out,
+                MaxFlow *arena, int *super_s_out,
                 int *super_t_out)
 {
     MultiCutResult result;
@@ -63,9 +62,8 @@ superPairMinCut(FlowNetwork &net,
     if (super_t_out)
         *super_t_out = super_t;
 
-    MaxFlow local(algo);
+    MaxFlow local;
     MaxFlow &mf = arena ? *arena : local;
-    mf.setAlgorithm(algo);
     mf.attach(net);
     mf.reset();
     mf.solve(super_s, super_t);

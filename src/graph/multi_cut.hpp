@@ -39,7 +39,6 @@ struct MultiCutResult
  *
  * @param net the flow network (consumed: arcs get removed).
  * @param pairs source/sink node pairs to disconnect.
- * @param algo single-pair max-flow algorithm to use per step.
  * @param side which equal-cost cut to take per pair.
  * @param arena optional solver to reuse (its traversal scratch
  *        survives across the per-pair solves and across calls); a
@@ -47,8 +46,6 @@ struct MultiCutResult
  */
 MultiCutResult multiPairMinCut(FlowNetwork &net,
                                const std::vector<std::pair<int, int>> &pairs,
-                               FlowAlgorithm algo =
-                                   FlowAlgorithm::EdmondsKarp,
                                CutSide side = CutSide::Sink,
                                MaxFlow *arena = nullptr);
 
@@ -66,8 +63,6 @@ MultiCutResult multiPairMinCut(FlowNetwork &net,
  */
 MultiCutResult superPairMinCut(FlowNetwork &net,
                                const std::vector<std::pair<int, int>> &pairs,
-                               FlowAlgorithm algo =
-                                   FlowAlgorithm::EdmondsKarp,
                                MaxFlow *arena = nullptr,
                                int *super_s_out = nullptr,
                                int *super_t_out = nullptr);

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "driver/pass_manager.hpp"
 #include "mtverify/mtverify.hpp"
 #include "obs/metrics.hpp"
@@ -94,9 +97,9 @@ TEST(Autotune, AcceptedMovesNeverWorsenCycles)
  * The determinism contract: the tuned plan, the move log (canonical
  * JSON bytes), the trajectory, and the whole PipelineResult are
  * identical however the cell is executed — serially with no cache,
- * against a cold cache, against a warm cache (pure hit), with COCO's
- * cut solver running 4-way parallel on a shared pool, and with the
- * max-flow warm-start path disabled (every solve cold).
+ * against a cold cache, against a warm cache (pure hit), as four
+ * concurrent copies sharing one cache on a 4-worker pool, and with
+ * the max-flow warm-start path disabled (every solve cold).
  */
 TEST(Autotune, DeterministicAcrossJobsCacheAndWarmStart)
 {
@@ -141,14 +144,23 @@ TEST(Autotune, DeterministicAcrossJobsCacheAndWarmStart)
             autotune_hit = ps.cached;
     EXPECT_TRUE(autotune_hit);
 
-    // Parallel COCO cut solving on a shared pool.
-    ThreadPool pool(4);
-    PipelineOptions po = autotuneOptions(Scheduler::Gremio);
-    po.coco_jobs = 4;
-    PipelineContext pooled(w, po);
-    pooled.pool = &pool;
-    runCell(pooled);
-    expectSame(pooled, "coco_jobs=4");
+    // Concurrent copies of the cell on a 4-worker pool, sharing one
+    // cache (the experiment runner's --jobs axis).
+    ArtifactCache shared;
+    std::vector<std::unique_ptr<PipelineContext>> copies;
+    for (int i = 0; i < 4; ++i) {
+        copies.push_back(std::make_unique<PipelineContext>(
+            w, autotuneOptions(Scheduler::Gremio)));
+        copies.back()->cache = &shared;
+    }
+    {
+        ThreadPool pool(4);
+        for (auto &ctx : copies)
+            pool.submit([&ctx] { runCell(*ctx); });
+        pool.wait();
+    }
+    for (const auto &ctx : copies)
+        expectSame(*ctx, "jobs=4 shared cache");
 
     // Warm-start ablation: every max-flow solve cold.
     PipelineOptions po2 = autotuneOptions(Scheduler::Gremio);

@@ -452,51 +452,6 @@ INSTANTIATE_TEST_SUITE_P(Threads, CocoProperty, ::testing::Values(2, 3),
                              return "t" + std::to_string(info.param);
                          });
 
-// COCO with the alternative max-flow algorithms must produce plans
-// that are equally valid and equally cheap (min-cut values are
-// unique even when the cuts differ).
-TEST(CocoAlgorithms, DinicAndPushRelabelAgreeOnCost)
-{
-    Rng rng(868686);
-    for (int trial = 0; trial < 8; ++trial) {
-        auto gen = generateProgram(rng);
-        auto st = prepare(std::move(gen.func), {5, 5},
-                          gen.array_cells);
-        ThreadPartition partition;
-        partition.num_threads = 2;
-        partition.assign.resize(st.f.numInstrs());
-        for (auto &x : partition.assign)
-            x = static_cast<int>(rng.nextBelow(2));
-
-        CocoResult results[3];
-        FlowAlgorithm algos[3] = {FlowAlgorithm::EdmondsKarp,
-                                  FlowAlgorithm::Dinic,
-                                  FlowAlgorithm::PushRelabel};
-        for (int k = 0; k < 3; ++k) {
-            CocoOptions opts;
-            opts.flow_algo = algos[k];
-            results[k] = cocoOptimize(st.f, st.pdg, partition, *st.cd,
-                                      st.profile, opts);
-            ASSERT_TRUE(validatePlan(st.f, st.pdg, partition, *st.cd,
-                                     results[k].plan)
-                            .empty())
-                << "algo " << k << " trial " << trial;
-            MtProgram prog = runMtcg(st.f, st.pdg, partition,
-                                     results[k].plan, *st.cd);
-            auto out = checkEquivalence(st.f, prog, {5, 5},
-                                        gen.array_cells, nullptr,
-                                        SchedulePolicy::Random,
-                                        trial);
-            ASSERT_TRUE(out.ok) << out.detail << " algo " << k;
-        }
-        // Min-cut *values* agree even if the cut arcs differ.
-        EXPECT_EQ(results[0].register_cut_cost,
-                  results[1].register_cut_cost);
-        EXPECT_EQ(results[0].register_cut_cost,
-                  results[2].register_cut_cost);
-    }
-}
-
 TEST(CocoEndToEnd, DswpAndGremioPartitions)
 {
     Rng rng(717171);

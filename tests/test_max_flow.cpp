@@ -47,14 +47,10 @@ bruteMinCut(int n, const std::vector<ArcSpec> &arcs, int s, int t)
     return best;
 }
 
-class MaxFlowAlgo : public ::testing::TestWithParam<FlowAlgorithm>
-{
-};
-
-TEST_P(MaxFlowAlgo, SingleArc)
+TEST(MaxFlow, SingleArc)
 {
     auto net = makeNetwork(2, {{0, 1, 5}});
-    MaxFlow mf(net, GetParam());
+    MaxFlow mf(net);
     EXPECT_EQ(mf.solve(0, 1), 5);
     auto cut = mf.minCutArcs();
     ASSERT_EQ(cut.size(), 1u);
@@ -62,15 +58,15 @@ TEST_P(MaxFlowAlgo, SingleArc)
     EXPECT_EQ(net.arcHead(cut[0]), 1);
 }
 
-TEST_P(MaxFlowAlgo, Disconnected)
+TEST(MaxFlow, Disconnected)
 {
     auto net = makeNetwork(3, {{0, 1, 5}});
-    MaxFlow mf(net, GetParam());
+    MaxFlow mf(net);
     EXPECT_EQ(mf.solve(0, 2), 0);
     EXPECT_TRUE(mf.minCutArcs().empty());
 }
 
-TEST_P(MaxFlowAlgo, ClassicDiamond)
+TEST(MaxFlow, ClassicDiamond)
 {
     // s=0, t=3; two paths of caps (3,2) and (2,3) plus cross arc.
     auto net = makeNetwork(4, {{0, 1, 3},
@@ -78,18 +74,18 @@ TEST_P(MaxFlowAlgo, ClassicDiamond)
                                {1, 3, 2},
                                {2, 3, 3},
                                {1, 2, 5}});
-    MaxFlow mf(net, GetParam());
+    MaxFlow mf(net);
     EXPECT_EQ(mf.solve(0, 3), 5);
 }
 
-TEST_P(MaxFlowAlgo, InfiniteArcsAvoidedInCut)
+TEST(MaxFlow, InfiniteArcsAvoidedInCut)
 {
     // s -> a (inf), a -> b (7), b -> t (inf): the only finite cut is
     // the middle arc.
     auto net = makeNetwork(4, {{0, 1, kInfCapacity},
                                {1, 2, 7},
                                {2, 3, kInfCapacity}});
-    MaxFlow mf(net, GetParam());
+    MaxFlow mf(net);
     EXPECT_EQ(mf.solve(0, 3), 7);
     EXPECT_TRUE(mf.finite());
     auto cut = mf.minCutArcs();
@@ -97,35 +93,35 @@ TEST_P(MaxFlowAlgo, InfiniteArcsAvoidedInCut)
     EXPECT_EQ(net.arcCapacity(cut[0]), 7);
 }
 
-TEST_P(MaxFlowAlgo, NoFiniteCut)
+TEST(MaxFlow, NoFiniteCut)
 {
     auto net = makeNetwork(2, {{0, 1, kInfCapacity}});
-    MaxFlow mf(net, GetParam());
+    MaxFlow mf(net);
     mf.solve(0, 1);
     EXPECT_FALSE(mf.finite());
 }
 
-TEST_P(MaxFlowAlgo, ResetAllowsResolve)
+TEST(MaxFlow, ResetAllowsResolve)
 {
     auto net = makeNetwork(2, {{0, 1, 9}});
-    MaxFlow mf(net, GetParam());
+    MaxFlow mf(net);
     EXPECT_EQ(mf.solve(0, 1), 9);
     mf.reset();
     EXPECT_EQ(mf.solve(0, 1), 9);
 }
 
-TEST_P(MaxFlowAlgo, RemoveArcZeroesCapacity)
+TEST(MaxFlow, RemoveArcZeroesCapacity)
 {
     auto net = makeNetwork(2, {{0, 1, 9}});
     net.removeArc(0);
-    MaxFlow mf(net, GetParam());
+    MaxFlow mf(net);
     EXPECT_EQ(mf.solve(0, 1), 0);
 }
 
 // The cut returned must (a) separate s from t when its arcs are
 // removed and (b) have total capacity equal to the max flow
 // (max-flow/min-cut duality).
-TEST_P(MaxFlowAlgo, PropertyCutMatchesBruteForce)
+TEST(MaxFlow, PropertyCutMatchesBruteForce)
 {
     Rng rng(777);
     for (int trial = 0; trial < 80; ++trial) {
@@ -141,7 +137,7 @@ TEST_P(MaxFlowAlgo, PropertyCutMatchesBruteForce)
         }
         int s = 0, t = n - 1;
         auto net = makeNetwork(n, arcs);
-        MaxFlow mf(net, GetParam());
+        MaxFlow mf(net);
         Capacity flow = mf.solve(s, t);
         Capacity brute = bruteMinCut(n, arcs, s, t);
         ASSERT_EQ(flow, brute) << "trial " << trial;
@@ -160,7 +156,7 @@ TEST_P(MaxFlowAlgo, PropertyCutMatchesBruteForce)
                 pruned.addArc(arcs[i].u, arcs[i].v, arcs[i].cap);
             }
         }
-        MaxFlow check(pruned, GetParam());
+        MaxFlow check(pruned);
         ASSERT_EQ(check.solve(s, t), 0) << "cut does not separate";
     }
 }
@@ -170,9 +166,9 @@ TEST_P(MaxFlowAlgo, PropertyCutMatchesBruteForce)
 // from-scratch solve of the same capacitated network exactly — flow
 // value, source-side min cut, and sink-side min cut (each unique
 // across all max flows, so "exactly" is well-defined).
-TEST_P(MaxFlowAlgo, RandomIncrementalSequences)
+TEST(MaxFlow, RandomIncrementalSequences)
 {
-    Rng rng(0xC0C0 + static_cast<int>(GetParam()));
+    Rng rng(0xC0C0);
     const int n = 8;
     std::vector<ArcSpec> arcs;
     for (int u = 0; u < n; ++u) {
@@ -190,7 +186,7 @@ TEST_P(MaxFlowAlgo, RandomIncrementalSequences)
     const int s = 0, t = n - 1;
 
     auto net = makeNetwork(n, arcs);
-    MaxFlow warm(net, GetParam());
+    MaxFlow warm(net);
     warm.solve(s, t);
 
     std::vector<Capacity> model_cap;
@@ -225,7 +221,7 @@ TEST_P(MaxFlowAlgo, RandomIncrementalSequences)
             if (model_removed[a])
                 fresh.removeArc(static_cast<int>(a));
         }
-        MaxFlow cold(fresh, FlowAlgorithm::EdmondsKarp);
+        MaxFlow cold(fresh);
         Capacity cold_flow = cold.solve(s, t);
 
         ASSERT_EQ(warm_flow, cold_flow) << "step " << step;
@@ -241,16 +237,16 @@ TEST_P(MaxFlowAlgo, RandomIncrementalSequences)
 // The reported cuts must not depend on solve history: a warm solver
 // that wandered through other capacity assignments and came back must
 // report the same cuts as a cold solve of the original network.
-TEST_P(MaxFlowAlgo, CutIndependentOfSolveHistory)
+TEST(MaxFlow, CutIndependentOfSolveHistory)
 {
     const std::vector<ArcSpec> arcs = {{0, 1, 3}, {0, 2, 2}, {1, 3, 2},
                                        {2, 3, 3}, {1, 2, 5}};
     auto cold_net = makeNetwork(4, arcs);
-    MaxFlow cold(cold_net, FlowAlgorithm::EdmondsKarp);
+    MaxFlow cold(cold_net);
     Capacity cold_flow = cold.solve(0, 3);
 
     auto warm_net = makeNetwork(4, arcs);
-    MaxFlow warm(warm_net, GetParam());
+    MaxFlow warm(warm_net);
     warm.solve(0, 3);
     // Detour: widen one arc, choke another, then restore both.
     warm.resolve({{2, 9, false}, {3, 1, false}});
@@ -262,68 +258,6 @@ TEST_P(MaxFlowAlgo, CutIndependentOfSolveHistory)
     EXPECT_EQ(warm.minCutArcs(CutSide::Sink),
               cold.minCutArcs(CutSide::Sink));
 }
-
-// Push-relabel always takes at least the initial exact-distance
-// global relabeling (its termination argument leans on it).
-TEST(MaxFlowStats, PushRelabelGlobalRelabels)
-{
-    auto net = makeNetwork(4, {{0, 1, 3},
-                               {0, 2, 2},
-                               {1, 3, 2},
-                               {2, 3, 3},
-                               {1, 2, 5}});
-    MaxFlow mf(net, FlowAlgorithm::PushRelabel);
-    EXPECT_EQ(mf.solve(0, 3), 5);
-    EXPECT_GE(mf.stats().global_relabels, 1u);
-}
-
-// All three algorithms must agree on larger random networks (cross
-// validation without brute force).
-TEST(MaxFlowCross, AlgorithmsAgree)
-{
-    Rng rng(31337);
-    for (int trial = 0; trial < 25; ++trial) {
-        int n = 10 + static_cast<int>(rng.nextBelow(40));
-        std::vector<ArcSpec> arcs;
-        for (int e = 0; e < 4 * n; ++e) {
-            int u = static_cast<int>(rng.nextBelow(n));
-            int v = static_cast<int>(rng.nextBelow(n));
-            if (u != v) {
-                arcs.push_back(
-                    {u, v, static_cast<Capacity>(rng.nextBelow(100))});
-            }
-        }
-        Capacity flows[3];
-        FlowAlgorithm algos[3] = {FlowAlgorithm::EdmondsKarp,
-                                  FlowAlgorithm::Dinic,
-                                  FlowAlgorithm::PushRelabel};
-        for (int i = 0; i < 3; ++i) {
-            auto net = makeNetwork(n, arcs);
-            MaxFlow mf(net, algos[i]);
-            flows[i] = mf.solve(0, n - 1);
-        }
-        ASSERT_EQ(flows[0], flows[1]) << "trial " << trial;
-        ASSERT_EQ(flows[0], flows[2]) << "trial " << trial;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllAlgorithms, MaxFlowAlgo,
-                         ::testing::Values(FlowAlgorithm::EdmondsKarp,
-                                           FlowAlgorithm::Dinic,
-                                           FlowAlgorithm::PushRelabel,
-                                           FlowAlgorithm::DinicPruned),
-                         [](const auto &info) {
-                             switch (info.param) {
-                               case FlowAlgorithm::EdmondsKarp:
-                                 return "EdmondsKarp";
-                               case FlowAlgorithm::Dinic:
-                                 return "Dinic";
-                               case FlowAlgorithm::PushRelabel:
-                                 return "PushRelabel";
-                               default:
-                                 return "DinicPruned";
-                             }
-                         });
 
 } // namespace
 } // namespace gmt

@@ -319,6 +319,12 @@ TEST(Stats, JsonObjectRenderAndEscape)
     EXPECT_EQ(o.render(),
               "{\"name\":\"a\\\"b\\\\c\\n\",\"i\":-3,\"d\":1.5,"
               "\"ok\":true}");
+
+    // The shared escaper: short forms for \n and \t, a \u00XX escape
+    // for every other control character.
+    EXPECT_EQ(JsonObject::escape("line\nbreak"), "line\\nbreak");
+    EXPECT_EQ(JsonObject::escape(std::string("a\x01" "b\tc")),
+              "a\\u0001b\\tc");
 }
 
 TEST(Stats, SinkWritesOneRecordPerPassAndCell)

@@ -3,10 +3,10 @@
  * bench_report: merge the per-bench BENCH_*.json records (flat
  * one-line JSON objects written by bench/micro_*) into one trend
  * table — wall-clock columns, the identical/fixpoint contract flags,
- * and the warm/speculation hit rates — so a CI run uploads a single
+ * and the min-cut warm-start hit rate — so a CI run uploads a single
  * artifact that is diffable across commits.
  *
- *   bench_report [--out FILE] BENCH_sim.json BENCH_coco.json ...
+ *   bench_report [--out FILE] BENCH_sim.json BENCH_mincut.json ...
  *
  * Prints the table to stdout; --out additionally writes a schema:1
  * JSON document ({"type":"bench-report","benches":[...]}) with every
@@ -25,6 +25,10 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "support/json.hpp"
+
+using gmt::jsonEscape;
 
 namespace
 {
@@ -208,7 +212,7 @@ struct BenchRow
     std::string bench;
     int ok = -1; ///< identical/fixpoint flag; -1 = not reported
     double wall_ms = 0.0;
-    double hit_rate = -1.0; ///< warm/speculation hit %; -1 = n/a
+    double hit_rate = -1.0; ///< warm-start hit %; -1 = n/a
     FlatObject raw;
 };
 
@@ -238,32 +242,13 @@ summarize(const std::string &file, FlatObject obj)
         if (v.kind == FlatValue::Kind::Number &&
             (endsWith(k, "_ms") || k.find("_ms_") != std::string::npos))
             row.wall_ms += v.num;
-    // Hit rate, whichever pair the bench reports: COCO speculation
-    // (spec_hits/spec_misses) or warm-started max-flow
-    // (coco_warm_starts/coco_cold_rebuilds).
-    auto rate = [&](const char *hit, const char *miss) {
-        const FlatValue *h = obj.find(hit);
-        const FlatValue *m = obj.find(miss);
-        if (h && m && h->num + m->num > 0)
-            row.hit_rate = 100.0 * h->num / (h->num + m->num);
-    };
-    rate("spec_hits", "spec_misses");
-    if (row.hit_rate < 0)
-        rate("coco_warm_starts", "coco_cold_rebuilds");
+    // Warm-started max-flow hit rate, for the benches that report it.
+    const FlatValue *h = obj.find("coco_warm_starts");
+    const FlatValue *m = obj.find("coco_cold_rebuilds");
+    if (h && m && h->num + m->num > 0)
+        row.hit_rate = 100.0 * h->num / (h->num + m->num);
     row.raw = std::move(obj);
     return row;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 void

@@ -317,8 +317,9 @@ main(int argc, char **argv)
     }
     if (!opts.quiet)
         std::fprintf(stderr,
-                     "[gmt-lint] %d cells, %d errors, %d warnings\n",
-                     cells, total_errors, total_warnings);
+                     "[gmt-lint] %d cells, %d errors, %d warnings, "
+                     "%d broken cells\n",
+                     cells, total_errors, total_warnings, broken_cells);
 
     if (total_errors > 0 || broken_cells > 0)
         return 1;

@@ -426,17 +426,14 @@ main(int argc, char **argv)
     if (!sink) {
         // The JSON path republishes the whole registry below; give the
         // text report the same visibility into the min-cut solver's
-        // warm-start economy (PR 8's headline counters).
+        // warm-start economy.
         MetricsRegistry &m = MetricsRegistry::global();
         std::printf(
-            "coco solver: %llu warm starts, %llu cold rebuilds, "
-            "%llu global relabels\n",
+            "coco solver: %llu warm starts, %llu cold rebuilds\n",
             static_cast<unsigned long long>(
                 m.counter("coco.warm_starts").value()),
             static_cast<unsigned long long>(
-                m.counter("coco.cold_rebuilds").value()),
-            static_cast<unsigned long long>(
-                m.counter("coco.relabel_global").value()));
+                m.counter("coco.cold_rebuilds").value()));
         if (opts.autotune)
             std::printf(
                 "autotune: %llu iterations, %llu moves accepted, "
