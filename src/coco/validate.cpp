@@ -2,58 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <sstream>
 
 #include "coco/safety.hpp"
-#include "support/error.hpp"
+#include "mtverify/coverage.hpp"
 
 namespace gmt
 {
-
-namespace
-{
-
-/**
- * True if some instruction-level CFG path from @p start reaches the
- * point just before instruction @p target without crossing any point
- * in @p barrier.
- */
-bool
-pathEscapes(const Function &f, ProgramPoint start, InstrId target,
-            const std::set<ProgramPoint> &barrier, Reg kill_reg)
-{
-    ProgramPoint goal{f.instr(target).block, f.positionOf(target)};
-    std::set<ProgramPoint> seen;
-    std::vector<ProgramPoint> work{start};
-    while (!work.empty()) {
-        ProgramPoint p = work.back();
-        work.pop_back();
-        if (barrier.count(p))
-            continue; // communication intercepts here
-        if (p == goal)
-            return true;
-        if (!seen.insert(p).second)
-            continue;
-        const BasicBlock &bb = f.block(p.block);
-        int size = static_cast<int>(bb.size());
-        GMT_ASSERT(p.pos >= 0 && p.pos < size);
-        // A redefinition of the register kills the dependence along
-        // this path: the value no longer needs to flow further.
-        InstrId here = bb.instrs()[p.pos];
-        if (kill_reg != kNoReg && f.defOf(here) == kill_reg)
-            continue;
-        if (p.pos < size - 1) {
-            work.push_back({p.block, p.pos + 1});
-        } else {
-            for (BlockId s : bb.succs())
-                work.push_back({s, 0});
-        }
-    }
-    return false;
-}
-
-} // namespace
 
 std::vector<MtvDiag>
 validatePlanDiags(const Function &f, const Pdg &pdg,
@@ -61,12 +16,10 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
                   const ControlDependence &cd, const CommPlan &plan)
 {
     std::vector<MtvDiag> problems;
-    auto complain = [&](MtvCode code, MtvDiag coords, auto &&...parts) {
+    auto cat = [](auto &&...parts) {
         std::ostringstream os;
         (os << ... << parts);
-        coords.code = code;
-        coords.message = os.str();
-        problems.push_back(std::move(coords));
+        return os.str();
     };
 
     // Structural pre-check: every point must name a real program
@@ -75,8 +28,10 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
         for (const auto &p : plan.placements[pi].points) {
             if (p.block < 0 || p.block >= f.numBlocks() || p.pos < 0 ||
                 p.pos >= static_cast<int>(f.block(p.block).size())) {
-                complain(MtvCode::PlanInvalidPoint, {},
-                         "placement ", pi, ": invalid point");
+                problems.push_back(
+                    {.code = MtvCode::PlanInvalidPoint,
+                     .message = cat("placement ", pi,
+                                    ": invalid point")});
             }
         }
     }
@@ -99,15 +54,17 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
         }
         for (const auto &p : pl.points) {
             if (!relevant.isRelevantPoint(pl.src_thread, p.block, cd)) {
-                complain(MtvCode::PlanSourceIrrelevant,
-                         {.thread = pl.src_thread,
-                          .block = p.block,
-                          .pos = p.pos},
-                         "placement ", pi,
-                         ": Property 2 violated (point in block ",
-                         f.block(p.block).label(),
-                         " not relevant to source thread ",
-                         pl.src_thread, ")");
+                problems.push_back(
+                    {.code = MtvCode::PlanSourceIrrelevant,
+                     .thread = pl.src_thread,
+                     .block = p.block,
+                     .pos = p.pos,
+                     .message = cat("placement ", pi,
+                                    ": Property 2 violated (point in "
+                                    "block ",
+                                    f.block(p.block).label(),
+                                    " not relevant to source thread ",
+                                    pl.src_thread, ")")});
             }
             if (pl.kind == CommKind::RegisterData &&
                 !safety[pl.src_thread]->isSafeAt(pl.reg, p)) {
@@ -129,51 +86,36 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
                                   p) != prev.points.end();
                 }
                 if (!forwarded) {
-                    complain(MtvCode::PlanUnsafePoint,
-                             {.thread = pl.src_thread,
-                              .block = p.block,
-                              .pos = p.pos},
-                             "placement ", pi,
-                             ": Property 3 violated (r", pl.reg,
-                             " unsafe at ", f.block(p.block).label(),
-                             ":", p.pos, ")");
+                    problems.push_back(
+                        {.code = MtvCode::PlanUnsafePoint,
+                         .thread = pl.src_thread,
+                         .block = p.block,
+                         .pos = p.pos,
+                         .message = cat("placement ", pi,
+                                        ": Property 3 violated (r",
+                                        pl.reg, " unsafe at ",
+                                        f.block(p.block).label(), ":",
+                                        p.pos, ")")});
                 }
             }
         }
     }
 
     // Coverage of every cross-thread PDG arc.
-    for (const auto &arc : pdg.arcs()) {
+    for (int ai : uncoveredArcs(f, pdg, partition, plan)) {
+        const PdgArc &arc = pdg.arcs()[ai];
         int ts = partition.threadOf(arc.src);
         int tt = partition.threadOf(arc.dst);
-        if (ts == tt || arc.kind == DepKind::Control)
-            continue;
-        // Union the points of all matching placements.
-        std::set<ProgramPoint> barrier;
-        for (const auto &pl : plan.placements) {
-            bool matches =
-                pl.src_thread == ts && pl.dst_thread == tt &&
-                ((arc.kind == DepKind::Register &&
-                  pl.kind == CommKind::RegisterData &&
-                  pl.reg == arc.reg) ||
-                 (arc.kind == DepKind::Memory &&
-                  pl.kind == CommKind::MemorySync));
-            if (matches)
-                barrier.insert(pl.points.begin(), pl.points.end());
-        }
-        ProgramPoint start{f.instr(arc.src).block,
-                           f.positionOf(arc.src) + 1};
-        Reg kill = arc.kind == DepKind::Register ? arc.reg : kNoReg;
-        if (pathEscapes(f, start, arc.dst, barrier, kill)) {
-            complain(MtvCode::PlanUncoveredArc,
-                     {.thread = tt,
-                      .block = f.instr(arc.dst).block,
-                      .instr = arc.dst},
-                     "arc i", arc.src, " -> i", arc.dst, " (",
-                     arc.kind == DepKind::Register ? "reg" : "mem",
-                     ") from T", ts, " to T", tt,
-                     " has an uncovered path");
-        }
+        problems.push_back(
+            {.code = MtvCode::PlanUncoveredArc,
+             .thread = tt,
+             .block = f.instr(arc.dst).block,
+             .instr = arc.dst,
+             .message = cat("arc i", arc.src, " -> i", arc.dst, " (",
+                            arc.kind == DepKind::Register ? "reg"
+                                                          : "mem",
+                            ") from T", ts, " to T", tt,
+                            " has an uncovered path")});
     }
     sortDiags(problems);
     dedupeDiags(problems);

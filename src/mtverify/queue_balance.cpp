@@ -28,26 +28,46 @@ isSync(Opcode op)
     return op == Opcode::ProduceSync || op == Opcode::ConsumeSync;
 }
 
-/** Comm ops of thread t's copy of original block ob, in emitted
- *  order, restricted to queue q and a produce/consume role. */
-std::vector<InstrId>
-commSeq(const Function &emitted, const ThreadCodeMap &map, BlockId ob,
-        QueueId q, bool produces)
+/** One comm op on a queue: the original block whose image holds it,
+ *  and the op itself in its thread's emitted code. */
+struct CommOp
 {
-    std::vector<InstrId> seq;
-    BlockId eb = ob < static_cast<BlockId>(map.emitted_block.size())
-                     ? map.emitted_block[ob]
-                     : kNoBlock;
-    if (eb == kNoBlock)
-        return seq;
-    for (InstrId ei : emitted.block(eb).instrs()) {
-        const Instr &in = emitted.instr(ei);
-        if (!in.isCommunication() || in.queue != q)
-            continue;
-        if (produces ? isProduce(in.op) : isConsume(in.op))
-            seq.push_back(ei);
+    BlockId orig_block = kNoBlock;
+    InstrId instr = kNoInstr;
+};
+
+/**
+ * Every thread's in-range comm ops bucketed by queue, in one pass:
+ * by_queue[t][q] lists thread t's ops on q in original-block order,
+ * emitted order within a block.
+ */
+std::vector<std::vector<std::vector<CommOp>>>
+commOpsByQueue(const Function &orig, const MtProgram &prog,
+               const std::vector<ThreadCodeMap> &maps)
+{
+    int nt = static_cast<int>(prog.threads.size());
+    std::vector<std::vector<std::vector<CommOp>>> by_queue(
+        nt, std::vector<std::vector<CommOp>>(prog.num_queues));
+    for (int t = 0; t < nt; ++t) {
+        const Function &emitted = prog.threads[t];
+        const std::vector<BlockId> &image = maps[t].emitted_block;
+        for (BlockId ob = 0; ob < orig.numBlocks(); ++ob) {
+            BlockId eb = ob < static_cast<BlockId>(image.size())
+                             ? image[ob]
+                             : kNoBlock;
+            if (eb == kNoBlock)
+                continue;
+            for (InstrId ei : emitted.block(eb).instrs()) {
+                const Instr &in = emitted.instr(ei);
+                if (!in.isCommunication())
+                    continue;
+                if (in.queue < 0 || in.queue >= prog.num_queues)
+                    continue; // out of range; BadQueueId reports it
+                by_queue[t][in.queue].push_back({ob, ei});
+            }
+        }
     }
-    return seq;
+    return by_queue;
 }
 
 } // namespace
@@ -123,6 +143,7 @@ checkQueueBalance(const Function &orig, const MtProgram &prog,
     constexpr int kUnvisited = std::numeric_limits<int>::min();
     constexpr int kTop = std::numeric_limits<int>::min() + 1;
 
+    auto by_queue = commOpsByQueue(orig, prog, maps);
     for (QueueId q = 0; q < prog.num_queues; ++q) {
         const QueueEndpoints &e = ends[q];
         if (e.conflict)
@@ -133,19 +154,23 @@ checkQueueBalance(const Function &orig, const MtProgram &prog,
         // Net token delta and per-block sequences. A missing endpoint
         // thread contributes empty sequences, which the dataflow then
         // reports as an imbalance at the exit.
+        auto sequences = [&](int t, bool produces) {
+            std::vector<std::vector<InstrId>> seq(orig.numBlocks());
+            if (t == -1)
+                return seq;
+            for (const CommOp &op : by_queue[t][q]) {
+                Opcode o = prog.threads[t].instr(op.instr).op;
+                if (produces ? isProduce(o) : isConsume(o))
+                    seq[op.orig_block].push_back(op.instr);
+            }
+            return seq;
+        };
+        auto prod_seq = sequences(e.producer, true);
+        auto cons_seq = sequences(e.consumer, false);
         std::vector<int> net(orig.numBlocks(), 0);
-        std::vector<std::vector<InstrId>> prod_seq(orig.numBlocks());
-        std::vector<std::vector<InstrId>> cons_seq(orig.numBlocks());
-        for (BlockId b = 0; b < orig.numBlocks(); ++b) {
-            if (e.producer != -1)
-                prod_seq[b] = commSeq(prog.threads[e.producer],
-                                      maps[e.producer], b, q, true);
-            if (e.consumer != -1)
-                cons_seq[b] = commSeq(prog.threads[e.consumer],
-                                      maps[e.consumer], b, q, false);
+        for (BlockId b = 0; b < orig.numBlocks(); ++b)
             net[b] = static_cast<int>(prod_seq[b].size()) -
                      static_cast<int>(cons_seq[b].size());
-        }
 
         std::vector<int> in(orig.numBlocks(), kUnvisited);
         in[orig.entry()] = 0;

@@ -1,7 +1,7 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <string>
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -18,10 +18,10 @@ nameWorker(std::thread &t, int index)
 {
 #if defined(__linux__)
     // Comm names are capped at 15 chars + NUL; "gmt-worker-N" fits
-    // for any realistic pool size.
-    char name[16];
-    std::snprintf(name, sizeof(name), "gmt-worker-%d", index);
-    pthread_setname_np(t.native_handle(), name);
+    // for any realistic pool size, and longer names are cut.
+    std::string name = "gmt-worker-" + std::to_string(index);
+    name.resize(std::min<size_t>(name.size(), 15));
+    pthread_setname_np(t.native_handle(), name.c_str());
 #else
     (void)t;
     (void)index;

@@ -73,6 +73,16 @@ hasCode(const MtVerifyResult &r, MtvCode code)
     return false;
 }
 
+/** The full rendered diag list, one string per finding. */
+std::vector<std::string>
+rendered(const MtVerifyResult &r)
+{
+    std::vector<std::string> out;
+    for (const MtvDiag &d : r.diags)
+        out.push_back(renderDiag(d));
+    return out;
+}
+
 /** First instruction in @p f's block lists matching @p pred. */
 struct Found
 {
@@ -342,6 +352,15 @@ TEST(MtVerifyMutation, DroppedProduce)
     EXPECT_TRUE(hasCode(res, MtvCode::MissingProduce)) << res.render();
     // The queue also ends imbalanced: one consume, zero produces.
     EXPECT_TRUE(hasCode(res, MtvCode::QueueImbalance)) << res.render();
+    EXPECT_EQ(rendered(res), (std::vector<std::string>{
+                                 "[error missing-produce] T0 B0:2 q0: "
+                                 "plan placement 0 expects produce on "
+                                 "q0 of r2 at b:2; not emitted",
+                                 "[error queue-imbalance] B0 q0: "
+                                 "queue ends with -1 unmatched "
+                                 "token(s) at exit (produces vs "
+                                 "consumes diverge)"
+                             }));
     EXPECT_FALSE(res.ok());
 }
 
@@ -426,6 +445,14 @@ TEST(MtVerifyMutation, SyncTokenDemotedToData)
     // ...and the endpoints disagree data-vs-sync on the matched token.
     EXPECT_TRUE(hasCode(res, MtvCode::TokenKindMismatch))
         << res.render();
+    EXPECT_EQ(rendered(res), (std::vector<std::string>{
+                                 "[error comm-kind-mismatch] T0 B0:2 "
+                                 "q0: produce emitted where the plan "
+                                 "expects produce.sync",
+                                 "[error token-kind-mismatch] B0:0 "
+                                 "q0: token 0 produced as produce but "
+                                 "consumed as consume.sync"
+                             }));
     EXPECT_FALSE(res.ok());
 }
 
@@ -472,6 +499,42 @@ TEST(MtVerifyMutation, QueueIdOutOfRange)
     EXPECT_FALSE(res.ok());
 }
 
+/** Out-of-range comm ops between in-range ones, on both sides of the
+ *  range: each is reported once as BadQueueId and never indexes a
+ *  per-queue table (the sanitizer build runs this). */
+TEST(MtVerifyMutation, QueueIdOutOfRangeMidBlock)
+{
+    Cell cell = twoProducerCell();
+    Function &t0 = cell.prog.threads[0];
+    Function &t1 = cell.prog.threads[1];
+    Found pr = findInstr(t0, [](const Instr &i) {
+        return i.op == Opcode::Produce;
+    });
+    Found co = findInstr(t1, [](const Instr &i) {
+        return i.op == Opcode::Consume;
+    });
+    ASSERT_NE(pr.id, kNoInstr);
+    ASSERT_NE(co.id, kNoInstr);
+    t0.insertAt(pr.block, pr.pos + 1,
+                {.op = Opcode::ProduceSync, .queue = 1000});
+    t1.insertAt(co.block, co.pos + 1,
+                {.op = Opcode::ConsumeSync, .queue = -7});
+    auto res = cell.verify();
+    EXPECT_EQ(rendered(res), (std::vector<std::string>{
+                                 "[error extra-comm] T1 B0 q-7: "
+                                 "consume.sync on q-7 not justified "
+                                 "by any plan point",
+                                 "[error extra-comm] T0 B0 q1000: "
+                                 "produce.sync on q1000 not justified "
+                                 "by any plan point",
+                                 "[error bad-queue-id] T1 B0 q-7: "
+                                 "queue id outside [0, 2)",
+                                 "[error bad-queue-id] T0 B0 q1000: "
+                                 "queue id outside [0, 2)"
+                             }));
+    EXPECT_FALSE(res.ok());
+}
+
 TEST(MtVerifyMutation, QueueEndpointRolesConflict)
 {
     Cell cell = twoProducerCell();
@@ -513,6 +576,14 @@ TEST(MtVerifyMutation, ProduceMissingOnOnePath)
     auto res = cell.verify();
     EXPECT_TRUE(hasCode(res, MtvCode::QueueImbalance)) << res.render();
     EXPECT_TRUE(hasCode(res, MtvCode::MissingProduce)) << res.render();
+    EXPECT_EQ(rendered(res), (std::vector<std::string>{
+                                 "[error missing-produce] T0 B1:1 q1: "
+                                 "plan placement 1 expects produce on "
+                                 "q1 of r1 at then:1; not emitted",
+                                 "[error queue-imbalance] B2 q1: "
+                                 "in-flight token count diverges "
+                                 "between paths reaching join"
+                             }));
     EXPECT_FALSE(res.ok());
 }
 
