@@ -66,7 +66,10 @@ main(int argc, char **argv)
                     100.0 *
                     (1.0 - static_cast<double>(coco.mem_sync) /
                                static_cast<double>(mtcg.mem_sync));
-                mem_cols.push_back("-" + Table::fmt(removed, 1) + "%");
+                std::string col = "-";
+                col += Table::fmt(removed, 1);
+                col += '%';
+                mem_cols.push_back(col);
             } else {
                 mem_cols.push_back("(none)");
             }

@@ -473,6 +473,10 @@ cocoOptimize(const Function &f, const Pdg &pdg,
     std::vector<std::vector<BlockId>> trans_deps(f.numBlocks());
     for (BlockId b = 0; b < f.numBlocks(); ++b)
         trans_deps[b] = cd.transitiveDeps(b);
+    // Likewise the defining blocks of each register, which bound the
+    // region a register graph is built over.
+    const std::vector<std::vector<BlockId>> def_blocks =
+        defBlocksByReg(f);
 
     // Per-register index over the PDG's register arcs, so the default
     // placement fallback stops re-scanning every arc per problem.
@@ -665,9 +669,13 @@ cocoOptimize(const Function &f, const Pdg &pdg,
         }
         counters.problems.add(problems.size());
 
-        FlowGraphInputs inputs{&f,        &cd,
-                               &profile,  &partition,
-                               &relevant, &trans_deps,
+        FlowGraphInputs inputs{&f,
+                               &cd,
+                               &profile,
+                               &partition,
+                               &relevant,
+                               &trans_deps,
+                               &def_blocks,
                                opts.control_flow_penalties};
 
         // ---- Phase 2: solve and apply in canonical order. ----

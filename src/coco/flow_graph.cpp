@@ -12,26 +12,17 @@ namespace
 {
 
 /**
- * Shared scaffolding: node layout over (block entries, instruction
- * positions), chain arcs, and inter-block arcs, parameterized by a
- * point-inclusion predicate and per-point extra costs.
+ * The two cost terms that depend on the current relevant-branch sets,
+ * shared by both builders and diffFlowGraphCosts.
  */
 class GraphBuilder
 {
   public:
-    GraphBuilder(const FlowGraphInputs &in, FlowGraphScratch &scratch,
-                 int ts, int tt)
-        : in_(in), ts_(ts), tt_(tt), f_(*in.f)
+    GraphBuilder(const FlowGraphInputs &in, int ts, int tt)
+        : in_(in), ts_(ts), tt_(tt)
     {
-        if (in.trans_deps) {
-            trans_deps_ = in.trans_deps;
-        } else {
-            scratch.local_trans_deps.resize(f_.numBlocks());
-            for (BlockId b = 0; b < f_.numBlocks(); ++b)
-                scratch.local_trans_deps[b] =
-                    in_.cd->transitiveDeps(b);
-            trans_deps_ = &scratch.local_trans_deps;
-        }
+        GMT_ASSERT(in.trans_deps != nullptr,
+                   "FlowGraphInputs::trans_deps is required");
     }
 
     /** §3.1.2: weight of currently-irrelevant-to-tt branches that
@@ -42,7 +33,7 @@ class GraphBuilder
         if (!in_.penalties)
             return 0;
         Capacity pen = 0;
-        for (BlockId branch_block : (*trans_deps_)[b]) {
+        for (BlockId branch_block : (*in_.trans_deps)[b]) {
             if (!(*in_.relevant)[tt_].test(branch_block))
                 pen += static_cast<Capacity>(
                     in_.profile->blockWeight(branch_block));
@@ -57,14 +48,26 @@ class GraphBuilder
         return isRelevantPoint(*in_.cd, (*in_.relevant)[ts_], b);
     }
 
-  protected:
+  private:
     const FlowGraphInputs &in_;
     int ts_, tt_;
-    const Function &f_;
-    const std::vector<std::vector<BlockId>> *trans_deps_;
 };
 
 } // namespace
+
+std::vector<std::vector<BlockId>>
+defBlocksByReg(const Function &f)
+{
+    std::vector<std::vector<BlockId>> out(f.numRegs());
+    for (BlockId b = 0; b < f.numBlocks(); ++b) {
+        for (InstrId i : f.block(b).instrs()) {
+            Reg def = f.defOf(i);
+            if (def != kNoReg && (out[def].empty() || out[def].back() != b))
+                out[def].push_back(b);
+        }
+    }
+    return out;
+}
 
 void
 buildRegisterFlowGraph(const FlowGraphInputs &in,
@@ -72,75 +75,79 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
                        const ThreadLiveness &live, Reg r, int ts,
                        int tt, FlowGraph &out, FlowGraphScratch &sc)
 {
-    GraphBuilder gb(in, sc, ts, tt);
+    GraphBuilder gb(in, ts, tt);
+    GMT_ASSERT(in.def_blocks != nullptr,
+               "FlowGraphInputs::def_blocks is required");
     const Function &f = *in.f;
+    const Liveness &lv = live.liveness();
     out.clear();
 
-    // Per-point liveness of r w.r.t. tt: point_live[b][pos] for
-    // pos in [0, size], via one backward walk per block.
-    auto &point_live = sc.point_live;
-    point_live.resize(f.numBlocks());
+    // The region: blocks where r is live-in or live-out w.r.t. tt, or
+    // defined. Outside it no point is live (a counted use with no def
+    // before it in the block would make r live-in), so such blocks
+    // get no node and no arc, and walking only the region, ascending,
+    // yields the whole-function graph node for node and arc for arc.
+    auto &region = sc.region;
+    region.clear();
+    const auto &defs = (*in.def_blocks)[r];
+    auto next_def = defs.begin();
     for (BlockId b = 0; b < f.numBlocks(); ++b) {
+        bool defines = next_def != defs.end() && *next_def == b;
+        if (defines)
+            ++next_def;
+        if (defines || lv.liveIn(b).test(r) || lv.liveOut(b).test(r))
+            region.push_back(b);
+    }
+
+    // Per region block: point liveness of r w.r.t. tt (backward),
+    // point safety of r for ts (forward, equation 1 on r's bit), and
+    // the nodes — an entry node if r is live at position 0, one node
+    // per instruction with a live point on either side. Scratch rows
+    // of blocks outside the region are stale and never read.
+    FlowNetwork &net = out.net;
+    auto &point_live = sc.point_live;
+    auto &point_safe = sc.point_safe;
+    auto &entry_node = sc.entry_node;
+    auto &instr_node = sc.instr_node;
+    point_live.resize(f.numBlocks());
+    point_safe.resize(f.numBlocks());
+    entry_node.resize(f.numBlocks());
+    instr_node.resize(f.numBlocks());
+    for (BlockId b : region) {
         const auto &instrs = f.block(b).instrs();
-        point_live[b].assign(instrs.size() + 1, 0);
-        bool l = live.liveness().liveOut(b).test(r);
-        point_live[b][instrs.size()] = l;
-        for (int pos = static_cast<int>(instrs.size()) - 1; pos >= 0;
-             --pos) {
+        const int size = static_cast<int>(instrs.size());
+        auto &pl = point_live[b];
+        pl.assign(size + 1, 0);
+        bool l = lv.liveOut(b).test(r);
+        pl[size] = l;
+        for (int pos = size - 1; pos >= 0; --pos) {
             InstrId i = instrs[pos];
             if (f.defOf(i) == r)
                 l = false;
-            if (live.usesCount(i)) {
-                for (Reg use : f.usesOf(i)) {
-                    if (use == r)
-                        l = true;
-                }
-            }
-            point_live[b][pos] = l;
+            if (f.usesReg(i, r) && live.usesCount(i))
+                l = true;
+            pl[pos] = l;
         }
-    }
 
-    // Per-point safety of r for ts, forward per block.
-    auto &point_safe = sc.point_safe;
-    point_safe.resize(f.numBlocks());
-    for (BlockId b = 0; b < f.numBlocks(); ++b) {
-        const auto &instrs = f.block(b).instrs();
-        point_safe[b].assign(instrs.size() + 1, 0);
-        sc.safe = safety.safeIn(b);
-        BitVector &safe = sc.safe;
-        for (size_t pos = 0; pos <= instrs.size(); ++pos) {
-            if (pos > 0) {
-                // Re-run the transfer via safeAt once per block would
-                // be O(n^2); replicate the transfer inline instead.
-                InstrId i = instrs[pos - 1];
-                Reg def = f.defOf(i);
-                bool mine = (in.partition->threadOf(i) == ts);
-                if (def != kNoReg)
-                    safe.reset(def);
-                if (mine) {
-                    if (def != kNoReg)
-                        safe.set(def);
-                    for (Reg use : f.usesOf(i))
-                        safe.set(use);
-                }
-            }
-            point_safe[b][pos] = safe.test(r);
+        auto &ps = point_safe[b];
+        ps.assign(size + 1, 0);
+        bool safe = safety.safeIn(b).test(r);
+        ps[0] = safe;
+        for (int pos = 0; pos < size; ++pos) {
+            InstrId i = instrs[pos];
+            bool defines = f.defOf(i) == r;
+            if (defines)
+                safe = false; // any thread's redefinition invalidates
+            if ((defines || f.usesReg(i, r)) &&
+                in.partition->threadOf(i) == ts)
+                safe = true;
+            ps[pos + 1] = safe;
         }
-    }
 
-    // Node allocation.
-    FlowNetwork &net = out.net;
-    auto &entry_node = sc.entry_node;
-    auto &instr_node = sc.instr_node;
-    entry_node.assign(f.numBlocks(), -1);
-    instr_node.resize(f.numBlocks());
-    for (BlockId b = 0; b < f.numBlocks(); ++b) {
-        const auto &instrs = f.block(b).instrs();
-        instr_node[b].assign(instrs.size(), -1);
-        if (point_live[b][0])
-            entry_node[b] = net.addNode();
-        for (size_t pos = 0; pos < instrs.size(); ++pos) {
-            if (point_live[b][pos] || point_live[b][pos + 1])
+        entry_node[b] = pl[0] ? net.addNode() : -1;
+        instr_node[b].assign(size, -1);
+        for (int pos = 0; pos < size; ++pos) {
+            if (pl[pos] || pl[pos + 1])
                 instr_node[b][pos] = net.addNode();
         }
     }
@@ -173,7 +180,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
     };
 
     // Chain arcs within blocks.
-    for (BlockId b = 0; b < f.numBlocks(); ++b) {
+    for (BlockId b : region) {
         const auto &instrs = f.block(b).instrs();
         Capacity bw = static_cast<Capacity>(in.profile->blockWeight(b));
         if (entry_node[b] != -1 && !instrs.empty() &&
@@ -193,8 +200,10 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
             }
         }
     }
-    // Inter-block arcs.
-    for (BlockId b = 0; b < f.numBlocks(); ++b) {
+    // Inter-block arcs. A successor has an entry node iff r is
+    // live-in there, which also puts it in the region: test liveness
+    // first, as its scratch rows are current only then.
+    for (BlockId b : region) {
         const auto &instrs = f.block(b).instrs();
         if (instrs.empty())
             continue;
@@ -204,7 +213,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
         const auto &succs = f.block(b).succs();
         for (size_t slot = 0; slot < succs.size(); ++slot) {
             BlockId s = succs[slot];
-            if (entry_node[s] == -1 || !point_live[s][0])
+            if (!lv.liveIn(s).test(r) || entry_node[s] == -1)
                 continue;
             Capacity ew = static_cast<Capacity>(
                 in.profile->edgeWeight(b, static_cast<int>(slot)));
@@ -226,7 +235,7 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
     // Special arcs: S -> defs of r in ts whose value lives on; uses
     // "in tt" (owned, or a branch replicated into tt) -> T.
     bool have_source = false, have_sink = false;
-    for (BlockId b = 0; b < f.numBlocks(); ++b) {
+    for (BlockId b : region) {
         const auto &instrs = f.block(b).instrs();
         for (size_t pos = 0; pos < instrs.size(); ++pos) {
             InstrId i = instrs[pos];
@@ -241,16 +250,10 @@ buildRegisterFlowGraph(const FlowGraphInputs &in,
             // Sinks: owned uses of tt, plus branches replicated into
             // tt — even when the branch itself is assigned to ts
             // (its replica in tt still needs the operand).
-            if (live.usesCount(i)) {
-                for (Reg use : f.usesOf(i)) {
-                    if (use == r) {
-                        addArc(instr_node[b][pos], out.sink,
-                               kInfCapacity,
-                               ProgramPoint{kNoBlock, -1}, ArcCost{});
-                        have_sink = true;
-                        break;
-                    }
-                }
+            if (f.usesReg(i, r) && live.usesCount(i)) {
+                addArc(instr_node[b][pos], out.sink, kInfCapacity,
+                       ProgramPoint{kNoBlock, -1}, ArcCost{});
+                have_sink = true;
             }
         }
     }
@@ -264,7 +267,7 @@ buildMemoryFlowGraph(const FlowGraphInputs &in,
                      int ts, int tt, FlowGraph &out,
                      FlowGraphScratch &sc)
 {
-    GraphBuilder gb(in, sc, ts, tt);
+    GraphBuilder gb(in, ts, tt);
     const Function &f = *in.f;
     out.clear();
     if (dep_pairs.empty()) {
@@ -344,7 +347,7 @@ diffFlowGraphCosts(const FlowGraphInputs &in, int ts, int tt,
                    std::vector<ArcDelta> &deltas)
 {
     deltas.clear();
-    GraphBuilder gb(in, sc, ts, tt);
+    GraphBuilder gb(in, ts, tt);
     const Function &f = *in.f;
 
     // Evaluate the two relevant-set-dependent cost terms once per

@@ -101,10 +101,16 @@ struct FlowGraphInputs
     /**
      * Per-block transitive control dependences, computed once per
      * cocoOptimize call (ControlDependence::transitiveDeps per block
-     * is too hot to redo per problem). May be null: each builder call
-     * then derives them itself.
+     * is too hot to redo per problem). Required.
      */
-    const std::vector<std::vector<BlockId>> *trans_deps = nullptr;
+    const std::vector<std::vector<BlockId>> *trans_deps;
+
+    /**
+     * Per-register defining blocks (defBlocksByReg), computed once per
+     * cocoOptimize call: the def term of a register graph's region.
+     * Required by buildRegisterFlowGraph.
+     */
+    const std::vector<std::vector<BlockId>> *def_blocks;
 
     /** Apply §3.1.2 control-flow penalties? */
     bool penalties = true;
@@ -116,14 +122,14 @@ struct FlowGraphInputs
  */
 struct FlowGraphScratch
 {
+    /** Per-block rows; a register build rewrites only its region's. */
     std::vector<std::vector<char>> point_live;
     std::vector<std::vector<char>> point_safe;
     std::vector<int> entry_node;
     std::vector<std::vector<int>> instr_node;
-    BitVector safe;
 
-    /** Fallback for FlowGraphInputs::trans_deps == nullptr. */
-    std::vector<std::vector<BlockId>> local_trans_deps;
+    /** Register builds: the region's blocks, ascending. */
+    std::vector<BlockId> region;
 
     /** Per-block cost terms, used by diffFlowGraphCosts(). */
     std::vector<char> block_relevant_src;
@@ -131,10 +137,22 @@ struct FlowGraphScratch
 };
 
 /**
+ * Per register, the distinct blocks defining it, ascending
+ * (FlowGraphInputs::def_blocks).
+ */
+std::vector<std::vector<BlockId>> defBlocksByReg(const Function &f);
+
+/**
  * Build G_f for register @p r from thread @p ts to thread @p tt
  * (§3.1.1 + §3.1.2) into @p out. @p safety is the SafetyAnalysis of
  * @p ts; @p live the ThreadLiveness of @p tt (with its current
  * relevant branches).
+ *
+ * Only r's region is visited: the blocks where r is live-in or
+ * live-out w.r.t. @p tt, or defined. Every other block has no live
+ * point and so no node or arc; the graph (node ids, arc order,
+ * capacities, arc_points, arc_cost) is the one a walk over the whole
+ * function would build.
  */
 void buildRegisterFlowGraph(const FlowGraphInputs &in,
                             const SafetyAnalysis &safety,

@@ -115,6 +115,20 @@ Function::usesOf(InstrId i) const
     return uses;
 }
 
+bool
+Function::usesReg(InstrId i, Reg r) const
+{
+    if (r == kNoReg)
+        return false;
+    const Instr &instr = instrs_[i];
+    int n = numSrcs(instr.op);
+    if ((n >= 1 && instr.src1 == r) || (n >= 2 && instr.src2 == r))
+        return true;
+    return instr.op == Opcode::Ret &&
+           std::find(live_outs_.begin(), live_outs_.end(), r) !=
+               live_outs_.end();
+}
+
 Reg
 Function::defOf(InstrId i) const
 {

@@ -132,6 +132,9 @@ class Function
      */
     std::vector<Reg> usesOf(InstrId i) const;
 
+    /** True if @p r is among usesOf(@p i), without building the list. */
+    bool usesReg(InstrId i, Reg r) const;
+
     /** Destination register of @p i, or kNoReg. */
     Reg defOf(InstrId i) const;
 

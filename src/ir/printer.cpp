@@ -12,7 +12,11 @@ namespace
 std::string
 regName(Reg r)
 {
-    return r == kNoReg ? std::string("_") : "r" + std::to_string(r);
+    if (r == kNoReg)
+        return "_";
+    std::string name = "r";
+    name += std::to_string(r);
+    return name;
 }
 
 } // namespace

@@ -15,9 +15,14 @@ void
 Pdg::addArc(PdgArc arc)
 {
     GMT_ASSERT(arc.src != kNoInstr && arc.dst != kNoInstr);
-    for (int a : from_[arc.src]) {
+    // A duplicate is in both lists; scan the shorter one (a branch's
+    // control arcs make its from_ list long, its targets' to_ short).
+    const auto &out = from_[arc.src];
+    const auto &in = to_[arc.dst];
+    for (int a : out.size() <= in.size() ? out : in) {
         const PdgArc &e = arcs_[a];
-        if (e.dst == arc.dst && e.kind == arc.kind && e.reg == arc.reg)
+        if (e.src == arc.src && e.dst == arc.dst && e.kind == arc.kind &&
+            e.reg == arc.reg)
             return; // duplicate
     }
     int id = static_cast<int>(arcs_.size());
@@ -39,9 +44,30 @@ Pdg::memArcs() const
 Digraph
 Pdg::asDigraph() const
 {
-    Digraph g(func_->numInstrs());
-    for (const auto &arc : arcs_)
-        g.addEdge(arc.src, arc.dst);
+    // Keep the first arc of each (src, dst): a per-source stamp over
+    // the from_ lists (ascending arc ids) finds them without
+    // Digraph::addEdge's linear duplicate scan. Appending the kept
+    // arcs in arc order gives the succs/preds lists addEdge would.
+    const int n = func_->numInstrs();
+    std::vector<char> first(arcs_.size(), 0);
+    std::vector<InstrId> seen_from(n, kNoInstr);
+    for (InstrId u = 0; u < n; ++u) {
+        for (int a : from_[u]) {
+            InstrId v = arcs_[a].dst;
+            if (seen_from[v] != u) {
+                seen_from[v] = u;
+                first[a] = 1;
+            }
+        }
+    }
+    Digraph g(n);
+    for (size_t a = 0; a < arcs_.size(); ++a) {
+        if (!first[a])
+            continue;
+        g.succs_[arcs_[a].src].push_back(arcs_[a].dst);
+        g.preds_[arcs_[a].dst].push_back(arcs_[a].src);
+        ++g.numEdges_;
+    }
     return g;
 }
 

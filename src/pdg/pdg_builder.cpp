@@ -80,13 +80,12 @@ addRegisterArcs(const Function &f, Pdg &pdg)
         BitVector reaching = in[b];
         for (InstrId i : f.block(b).instrs()) {
             for (Reg use : f.usesOf(i)) {
-                reaching.forEach([&](size_t s) {
-                    InstrId def_instr = def_sites[s];
-                    if (f.defOf(def_instr) == use) {
-                        pdg.addArc({def_instr, i, DepKind::Register, use,
-                                    MemDepKind::Flow});
-                    }
-                });
+                // The reaching defs of `use`, ascending by site.
+                for (int s : sites_of_reg[use]) {
+                    if (reaching.test(s))
+                        pdg.addArc({def_sites[s], i, DepKind::Register,
+                                    use, MemDepKind::Flow});
+                }
             }
             Reg def = f.defOf(i);
             if (def != kNoReg) {

@@ -1,0 +1,508 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <string>
+#include <tuple>
+
+#include "analysis/dominators.hpp"
+#include "coco/flow_graph.hpp"
+#include "coco/relevant.hpp"
+#include "driver/pass_manager.hpp"
+#include "support/rng.hpp"
+#include "workloads/generate.hpp"
+#include "workloads/serialize.hpp"
+#include "workloads/workload.hpp"
+
+namespace gmt
+{
+namespace
+{
+
+// ---------------------------------------------------------------------
+// Reference oracle: the whole-function register flow-graph builder the
+// region-restricted one replaced. It walks every block and every
+// instruction of the function, with a full safe-register set per
+// block; the region builder must produce the same graph arc for arc.
+// ---------------------------------------------------------------------
+
+bool
+referenceUses(const Function &f, InstrId i, Reg r)
+{
+    std::vector<Reg> uses = f.usesOf(i);
+    return std::find(uses.begin(), uses.end(), r) != uses.end();
+}
+
+void
+referenceRegisterFlowGraph(const FlowGraphInputs &in,
+                           const SafetyAnalysis &safety,
+                           const ThreadLiveness &live, Reg r, int ts,
+                           int tt, FlowGraph &out)
+{
+    const Function &f = *in.f;
+    const int nb = f.numBlocks();
+    out.clear();
+
+    auto penaltyFor = [&](BlockId b) {
+        Capacity pen = 0;
+        if (!in.penalties)
+            return pen;
+        for (BlockId branch_block : (*in.trans_deps)[b])
+            if (!(*in.relevant)[tt].test(branch_block))
+                pen += static_cast<Capacity>(
+                    in.profile->blockWeight(branch_block));
+        return pen;
+    };
+
+    std::vector<std::vector<char>> point_live(nb), point_safe(nb);
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        point_live[b].assign(instrs.size() + 1, 0);
+        bool l = live.liveness().liveOut(b).test(r);
+        point_live[b][instrs.size()] = l;
+        for (int pos = static_cast<int>(instrs.size()) - 1; pos >= 0;
+             --pos) {
+            InstrId i = instrs[pos];
+            if (f.defOf(i) == r)
+                l = false;
+            if (live.usesCount(i) && referenceUses(f, i, r))
+                l = true;
+            point_live[b][pos] = l;
+        }
+
+        point_safe[b].assign(instrs.size() + 1, 0);
+        BitVector safe = safety.safeIn(b);
+        for (size_t pos = 0; pos <= instrs.size(); ++pos) {
+            if (pos > 0) {
+                InstrId i = instrs[pos - 1];
+                Reg def = f.defOf(i);
+                if (def != kNoReg)
+                    safe.reset(def);
+                if (in.partition->threadOf(i) == ts) {
+                    if (def != kNoReg)
+                        safe.set(def);
+                    for (Reg use : f.usesOf(i))
+                        safe.set(use);
+                }
+            }
+            point_safe[b][pos] = safe.test(r);
+        }
+    }
+
+    FlowNetwork &net = out.net;
+    std::vector<int> entry_node(nb, -1);
+    std::vector<std::vector<int>> instr_node(nb);
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        instr_node[b].assign(instrs.size(), -1);
+        if (point_live[b][0])
+            entry_node[b] = net.addNode();
+        for (size_t pos = 0; pos < instrs.size(); ++pos)
+            if (point_live[b][pos] || point_live[b][pos + 1])
+                instr_node[b][pos] = net.addNode();
+    }
+    out.source = net.addNode();
+    out.sink = net.addNode();
+
+    auto pointCost = [&](BlockId b, int pos, Capacity base) {
+        if (!point_safe[b][pos] ||
+            !isRelevantPoint(*in.cd, (*in.relevant)[ts], b))
+            return kInfCapacity;
+        return base + penaltyFor(b);
+    };
+    auto costRec = [&](BlockId b, int pos, Capacity base) {
+        return point_safe[b][pos] ? ArcCost{b, base} : ArcCost{};
+    };
+    auto addArc = [&](int u, int v, Capacity cost, ProgramPoint p,
+                      ArcCost rec) {
+        net.addArc(u, v, cost);
+        out.arc_points.push_back(p);
+        out.arc_cost.push_back(rec);
+    };
+
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        Capacity bw = static_cast<Capacity>(in.profile->blockWeight(b));
+        if (entry_node[b] != -1 && !instrs.empty() &&
+            instr_node[b][0] != -1 && point_live[b][0])
+            addArc(entry_node[b], instr_node[b][0], pointCost(b, 0, bw),
+                   {b, 0}, costRec(b, 0, bw));
+        for (int pos = 0; pos + 1 < static_cast<int>(instrs.size());
+             ++pos)
+            if (instr_node[b][pos] != -1 &&
+                instr_node[b][pos + 1] != -1 && point_live[b][pos + 1])
+                addArc(instr_node[b][pos], instr_node[b][pos + 1],
+                       pointCost(b, pos + 1, bw), {b, pos + 1},
+                       costRec(b, pos + 1, bw));
+    }
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        if (instrs.empty())
+            continue;
+        int last = static_cast<int>(instrs.size()) - 1;
+        if (instr_node[b][last] == -1)
+            continue;
+        const auto &succs = f.block(b).succs();
+        for (size_t slot = 0; slot < succs.size(); ++slot) {
+            BlockId s = succs[slot];
+            if (entry_node[s] == -1 || !point_live[s][0])
+                continue;
+            Capacity ew = static_cast<Capacity>(
+                in.profile->edgeWeight(b, static_cast<int>(slot)));
+            bool multi = succs.size() > 1;
+            ProgramPoint p = multi ? ProgramPoint{s, 0}
+                                   : ProgramPoint{b, last};
+            addArc(instr_node[b][last], entry_node[s],
+                   pointCost(p.block, p.pos, ew), p,
+                   costRec(p.block, p.pos, ew));
+        }
+    }
+
+    bool have_source = false, have_sink = false;
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        for (size_t pos = 0; pos < instrs.size(); ++pos) {
+            InstrId i = instrs[pos];
+            if (instr_node[b][pos] == -1)
+                continue;
+            if (f.defOf(i) == r && in.partition->threadOf(i) == ts &&
+                point_live[b][pos + 1]) {
+                addArc(out.source, instr_node[b][pos], kInfCapacity,
+                       {kNoBlock, -1}, ArcCost{});
+                have_source = true;
+            }
+            if (live.usesCount(i) && referenceUses(f, i, r)) {
+                addArc(instr_node[b][pos], out.sink, kInfCapacity,
+                       {kNoBlock, -1}, ArcCost{});
+                have_sink = true;
+            }
+        }
+    }
+    out.trivial = !have_source || !have_sink;
+}
+
+/** Graph equality down to every arc's endpoints, cost and record. */
+void
+expectSameGraph(const FlowGraph &got, const FlowGraph &want,
+                const std::string &what)
+{
+    ASSERT_EQ(got.net.numNodes(), want.net.numNodes()) << what;
+    ASSERT_EQ(got.net.numArcs(), want.net.numArcs()) << what;
+    EXPECT_EQ(got.source, want.source) << what;
+    EXPECT_EQ(got.sink, want.sink) << what;
+    EXPECT_EQ(got.trivial, want.trivial) << what;
+    ASSERT_EQ(got.arc_points.size(), want.arc_points.size()) << what;
+    ASSERT_EQ(got.arc_cost.size(), want.arc_cost.size()) << what;
+    for (int a = 0; a < want.net.numArcs(); ++a) {
+        ASSERT_EQ(got.net.arcTail(a), want.net.arcTail(a))
+            << what << " arc " << a;
+        ASSERT_EQ(got.net.arcHead(a), want.net.arcHead(a))
+            << what << " arc " << a;
+        ASSERT_EQ(got.net.arcCapacity(a), want.net.arcCapacity(a))
+            << what << " arc " << a;
+        ASSERT_EQ(got.arc_points[a], want.arc_points[a])
+            << what << " arc " << a;
+        ASSERT_EQ(got.arc_cost[a].block, want.arc_cost[a].block)
+            << what << " arc " << a;
+        ASSERT_EQ(got.arc_cost[a].base, want.arc_cost[a].base)
+            << what << " arc " << a;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reference PDG: the arc list as built before the per-register site
+// lists and the shorter-list duplicate scan, and its digraph through
+// Digraph::addEdge.
+// ---------------------------------------------------------------------
+
+struct ReferencePdg
+{
+    std::vector<PdgArc> arcs;
+    std::vector<std::vector<int>> from;
+
+    void
+    add(PdgArc arc)
+    {
+        for (int a : from[arc.src]) {
+            const PdgArc &e = arcs[a];
+            if (e.dst == arc.dst && e.kind == arc.kind && e.reg == arc.reg)
+                return;
+        }
+        from[arc.src].push_back(static_cast<int>(arcs.size()));
+        arcs.push_back(arc);
+    }
+};
+
+ReferencePdg
+referencePdg(const Function &f)
+{
+    ReferencePdg pdg;
+    pdg.from.resize(f.numInstrs());
+
+    // Register arcs: reaching definitions, every reaching def tested
+    // against each use.
+    std::vector<InstrId> def_sites;
+    std::vector<int> site_of(f.numInstrs(), -1);
+    for (InstrId i = 0; i < f.numInstrs(); ++i) {
+        if (f.defOf(i) != kNoReg) {
+            site_of[i] = static_cast<int>(def_sites.size());
+            def_sites.push_back(i);
+        }
+    }
+    const int nd = static_cast<int>(def_sites.size());
+    const int nb = f.numBlocks();
+    std::vector<std::vector<int>> sites_of_reg(f.numRegs());
+    for (int s = 0; s < nd; ++s)
+        sites_of_reg[f.defOf(def_sites[s])].push_back(s);
+    std::vector<BitVector> gen(nb, BitVector(nd)), kill(nb, BitVector(nd));
+    for (BlockId b = 0; b < nb; ++b) {
+        for (InstrId i : f.block(b).instrs()) {
+            Reg def = f.defOf(i);
+            if (def == kNoReg)
+                continue;
+            for (int s : sites_of_reg[def]) {
+                gen[b].reset(s);
+                kill[b].set(s);
+            }
+            gen[b].set(site_of[i]);
+        }
+    }
+    std::vector<BitVector> in(nb, BitVector(nd)), out(nb, BitVector(nd));
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (BlockId b = 0; b < nb; ++b) {
+            BitVector new_in(nd);
+            for (BlockId p : f.block(b).preds())
+                new_in.unionWith(out[p]);
+            BitVector new_out = new_in;
+            new_out.subtract(kill[b]);
+            new_out.unionWith(gen[b]);
+            changed |= !(new_in == in[b]) || !(new_out == out[b]);
+            in[b] = std::move(new_in);
+            out[b] = std::move(new_out);
+        }
+    }
+    for (BlockId b = 0; b < nb; ++b) {
+        BitVector reaching = in[b];
+        for (InstrId i : f.block(b).instrs()) {
+            for (Reg use : f.usesOf(i)) {
+                reaching.forEach([&](size_t s) {
+                    if (f.defOf(def_sites[s]) == use)
+                        pdg.add({def_sites[s], i, DepKind::Register, use,
+                                 MemDepKind::Flow});
+                });
+            }
+            Reg def = f.defOf(i);
+            if (def != kNoReg) {
+                for (int s : sites_of_reg[def])
+                    reaching.reset(s);
+                reaching.set(site_of[i]);
+            }
+        }
+    }
+
+    for (const MemDep &dep : computeMemDeps(f))
+        pdg.add({dep.src, dep.dst, DepKind::Memory, kNoReg, dep.kind});
+
+    auto pdom = DominatorTree::postDominators(f);
+    ControlDependence cd(f, pdom);
+    for (BlockId a = 0; a < nb; ++a) {
+        const BasicBlock &bb = f.block(a);
+        if (bb.succs().size() < 2)
+            continue;
+        InstrId branch = bb.terminator();
+        for (BlockId c : cd.controlledBy(a))
+            for (InstrId i : f.block(c).instrs())
+                if (i != branch)
+                    pdg.add({branch, i, DepKind::Control, kNoReg,
+                             MemDepKind::Flow});
+    }
+    return pdg;
+}
+
+void
+expectSamePdg(const Function &f, const Pdg &pdg, const std::string &what)
+{
+    ReferencePdg ref = referencePdg(f);
+    ASSERT_EQ(pdg.numArcs(), static_cast<int>(ref.arcs.size())) << what;
+    for (int a = 0; a < pdg.numArcs(); ++a) {
+        const PdgArc &got = pdg.arc(a);
+        const PdgArc &want = ref.arcs[a];
+        ASSERT_EQ(std::tie(got.src, got.dst, got.kind, got.reg,
+                           got.mem_kind),
+                  std::tie(want.src, want.dst, want.kind, want.reg,
+                           want.mem_kind))
+            << what << " arc " << a;
+    }
+
+    Digraph want(f.numInstrs());
+    for (const PdgArc &arc : ref.arcs)
+        want.addEdge(arc.src, arc.dst);
+    Digraph got = pdg.asDigraph();
+    ASSERT_EQ(got.numNodes(), want.numNodes()) << what;
+    EXPECT_EQ(got.numEdges(), want.numEdges()) << what;
+    for (NodeId u = 0; u < want.numNodes(); ++u) {
+        ASSERT_EQ(got.succs(u), want.succs(u)) << what << " node " << u;
+        ASSERT_EQ(got.preds(u), want.preds(u)) << what << " node " << u;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Differential driver over one cell.
+// ---------------------------------------------------------------------
+
+/** The cell's artifacts through the partition pass. */
+PipelineContext
+partitioned(const Workload &w, Scheduler sched)
+{
+    PipelineOptions po;
+    po.scheduler = sched;
+    PipelineContext ctx(w, po);
+    const PassManager codegen = PassManager::codegenPipeline();
+    PassManager pm;
+    for (const auto &pass : codegen.passes()) {
+        pm.addPass(pass.name, pass.run);
+        if (pass.name == "partition")
+            break;
+    }
+    pm.run(ctx);
+    return ctx;
+}
+
+/** The register problems COCO poses under @p relevant: each register
+ *  arc's register, from its source thread to each other thread that
+ *  needs the value (the destination's owner, or a thread the
+ *  destination branch is replicated into). */
+std::set<std::tuple<int, int, Reg>>
+registerProblems(const Function &f, const Pdg &pdg,
+                 const ThreadPartition &part,
+                 const std::vector<BitVector> &relevant)
+{
+    std::set<std::tuple<int, int, Reg>> problems;
+    for (const PdgArc &arc : pdg.arcs()) {
+        if (arc.kind != DepKind::Register)
+            continue;
+        int ts = part.threadOf(arc.src);
+        for (int tt = 0; tt < part.num_threads; ++tt) {
+            bool needs = tt == part.threadOf(arc.dst) ||
+                         (f.instr(arc.dst).isBranch() &&
+                          relevant[tt].test(f.instr(arc.dst).block));
+            if (tt != ts && needs)
+                problems.insert({ts, tt, arc.reg});
+        }
+    }
+    return problems;
+}
+
+/**
+ * Every register problem of the cell built by both builders, under
+ * the initial relevant-branch sets and then under randomly grown
+ * ones. Returns the number of non-trivial graphs compared.
+ */
+int
+checkRegisterGraphs(const PipelineContext &ctx, uint64_t seed)
+{
+    const Function &f = ctx.ir->func;
+    const ControlDependence &cd = ctx.pdg->cd;
+    const ThreadPartition &part = ctx.partition->partition;
+    const int nt = part.num_threads;
+
+    std::vector<std::unique_ptr<SafetyAnalysis>> safety;
+    for (int t = 0; t < nt; ++t)
+        safety.push_back(std::make_unique<SafetyAnalysis>(f, part, t));
+    std::vector<std::vector<BlockId>> trans_deps(f.numBlocks());
+    for (BlockId b = 0; b < f.numBlocks(); ++b)
+        trans_deps[b] = cd.transitiveDeps(b);
+    const auto def_blocks = defBlocksByReg(f);
+    std::vector<BitVector> relevant = initRelevantBranches(f, cd, part);
+    const FlowGraphInputs in{&f,         &cd,       &ctx.profile->profile,
+                             &part,      &relevant, &trans_deps,
+                             &def_blocks, true};
+
+    FlowGraphScratch scratch; // shared, as in one COCO arena
+    FlowGraph got, want;
+    int nontrivial = 0;
+    Rng rng(seed);
+    for (int round = 0; round < 2; ++round) {
+        if (round == 1) {
+            // Grow every thread's set from a few random points.
+            for (int t = 0; t < nt; ++t)
+                for (int k = 0; k < 3; ++k) {
+                    BlockId b = static_cast<BlockId>(
+                        rng.nextBelow(f.numBlocks()));
+                    growRelevantForPoint(f, cd, relevant[t], {b, 0});
+                }
+        }
+        std::vector<std::unique_ptr<ThreadLiveness>> live;
+        for (int t = 0; t < nt; ++t)
+            live.push_back(std::make_unique<ThreadLiveness>(
+                f, part, t, relevant[t]));
+        for (auto [ts, tt, r] :
+             registerProblems(f, ctx.pdg->pdg, part, relevant)) {
+            std::string what = ctx.cellId() + " round " +
+                               std::to_string(round) + " T" +
+                               std::to_string(ts) + "->T" +
+                               std::to_string(tt) + " r" +
+                               std::to_string(r);
+            buildRegisterFlowGraph(in, *safety[ts], *live[tt], r, ts, tt,
+                                   got, scratch);
+            referenceRegisterFlowGraph(in, *safety[ts], *live[tt], r, ts,
+                                       tt, want);
+            expectSameGraph(got, want, what);
+            if (::testing::Test::HasFatalFailure())
+                return nontrivial;
+            nontrivial += want.trivial ? 0 : 1;
+        }
+    }
+    return nontrivial;
+}
+
+void
+checkCell(const Workload &w, uint64_t seed, int *nontrivial)
+{
+    for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio}) {
+        PipelineContext ctx = partitioned(w, sched);
+        expectSamePdg(ctx.ir->func, ctx.pdg->pdg, ctx.cellId());
+        *nontrivial += checkRegisterGraphs(ctx, seed++);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+TEST(FlowGraphDiff, WorkloadMatrix)
+{
+    int nontrivial = 0;
+    uint64_t seed = 1;
+    for (const Workload &w : allWorkloads()) {
+        checkCell(w, seed, &nontrivial);
+        seed += 2;
+    }
+    EXPECT_GT(nontrivial, 0);
+}
+
+TEST(FlowGraphDiff, GeneratedCells)
+{
+    int nontrivial = 0;
+    for (uint64_t seed : {3u, 11u, 23u, 47u, 91u})
+        checkCell(generateWorkload(seed), seed, &nontrivial);
+    EXPECT_GT(nontrivial, 0);
+}
+
+/** The frozen benchmark ladder (read only): the largest graphs. */
+TEST(FlowGraphDiff, LadderCells)
+{
+    int nontrivial = 0;
+    uint64_t seed = 100;
+    for (const char *name : {"ladder-500.gmt", "ladder-1500.gmt",
+                             "ladder-3000.gmt", "ladder-5000.gmt"}) {
+        Workload w = loadWorkloadFile(std::string(GMT_LADDER_DIR) + "/" +
+                                      name);
+        checkCell(w, seed, &nontrivial);
+        seed += 2;
+    }
+    EXPECT_GT(nontrivial, 0);
+}
+
+} // namespace
+} // namespace gmt

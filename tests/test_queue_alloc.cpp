@@ -124,7 +124,9 @@ TEST_P(QueueAllocProperty, EquivalentUnderTinyBudgets)
 INSTANTIATE_TEST_SUITE_P(Budgets, QueueAllocProperty,
                          ::testing::Values(2, 4, 8, 256),
                          [](const auto &info) {
-                             return "q" + std::to_string(info.param);
+                             std::string name = "q";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 } // namespace

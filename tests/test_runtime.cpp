@@ -266,7 +266,9 @@ TEST(MtInterpreter, DetectsDeadlock)
     prog.num_queues = 2;
     prog.queue_capacity = 1;
     for (int t = 0; t < 2; ++t) {
-        FunctionBuilder b("t" + std::to_string(t));
+        std::string name = "t";
+        name += std::to_string(t);
+        FunctionBuilder b(name);
         BlockId bb = b.newBlock("b");
         b.setBlock(bb);
         Reg v = b.func().newReg();

@@ -163,7 +163,8 @@ cellName(const std::string &workload, Scheduler sched, bool coco,
 std::string
 placementDesc(const PlacementDesc &p)
 {
-    std::string s = "#" + std::to_string(p.placement);
+    std::string s = "#";
+    s += std::to_string(p.placement);
     if (p.kind == CommKind::RegisterData)
         s += " r" + std::to_string(p.reg);
     else
