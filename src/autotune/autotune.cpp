@@ -12,10 +12,6 @@
 #include "mtverify/mtverify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stall_profile.hpp"
-#include "obs/stall_report.hpp"
-#include "partition/dswp.hpp"
-#include "partition/gremio.hpp"
-#include "sim/decoded_program.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
 
@@ -61,6 +57,7 @@ struct Candidate
     ThreadPartition partition;
     CommPlan plan;
     int plan_iters = 0;
+    PlacementProvenance placement_prov;
 };
 
 /** PDG arcs matching one queue placement descriptor under @p part. */
@@ -133,42 +130,33 @@ u64(uint64_t v)
     return std::to_string(v);
 }
 
-ThreadPartition
-repartition(const AutotuneInputs &in, const PartitionFeedback &fb)
-{
-    if (in.gremio) {
-        GremioOptions o;
-        o.num_threads = in.num_threads;
-        o.feedback = &fb;
-        return gremioPartition(*in.pdg, *in.profile, o);
-    }
-    DswpOptions o;
-    o.num_threads = in.num_threads;
-    o.feedback = &fb;
-    return dswpPartition(*in.pdg, *in.profile, o);
-}
-
-/** COCO (or default MTCG) plan for a candidate partition. */
+/** COCO (or default MTCG) plan for c.partition, with its placement
+ *  decisions recorded into c.placement_prov when the cell records
+ *  provenance. */
 bool
-planFor(const AutotuneInputs &in, const ThreadPartition &part,
-        const EdgeProfile &profile, CocoArenaCache *cache,
-        uint64_t *warm_reuses, CommPlan &plan, int &iters,
+planFor(const AutotuneInputs &in, const EdgeProfile &profile,
+        CocoArenaCache *cache, uint64_t *warm_reuses, Candidate &c,
         std::string &reject)
 {
     if (!in.use_coco) {
-        plan = defaultMtcgPlan(*in.f, *in.pdg, part, *in.cd);
-        iters = 0;
+        c.plan = defaultMtcgPlan(*in.f, *in.pdg, c.partition, *in.cd);
+        c.plan_iters = 0;
+        if (in.record_provenance)
+            c.placement_prov = defaultPlacementProvenance(c.plan, profile);
     } else {
         CocoExec exec;
         exec.arena_cache = cache;
-        CocoResult res = cocoOptimize(*in.f, *in.pdg, part, *in.cd,
+        if (in.record_provenance)
+            exec.provenance = &c.placement_prov;
+        CocoResult res = cocoOptimize(*in.f, *in.pdg, c.partition, *in.cd,
                                       profile, in.coco, exec);
         if (cache != nullptr && warm_reuses != nullptr)
             *warm_reuses += res.warm_starts;
-        plan = std::move(res.plan);
-        iters = res.iterations;
+        c.plan = std::move(res.plan);
+        c.plan_iters = res.iterations;
     }
-    auto problems = validatePlan(*in.f, *in.pdg, part, *in.cd, plan);
+    auto problems =
+        validatePlan(*in.f, *in.pdg, c.partition, *in.cd, c.plan);
     if (!problems.empty()) {
         reject = "invalid-plan";
         return false;
@@ -219,8 +207,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
         c.partition = cur.s.partition;
         EdgeProfile prof = boosted(fb.cut_boost);
         std::string reject;
-        if (planFor(in, c.partition, prof, &arena_cache, &warm_reuses,
-                    c.plan, c.plan_iters, reject)) {
+        if (planFor(in, prof, &arena_cache, &warm_reuses, c, reject)) {
             out.push_back(std::move(c));
         } else {
             AutotuneMove m;
@@ -242,9 +229,11 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
         c.detail = "feedback re-partition (total stall " +
                    u64(total_stall) + ")";
         c.stall = total_stall;
-        c.partition = repartition(in, pf);
-        auto problems = validatePartition(*in.pdg, c.partition,
-                                          /*require_pipeline=*/!in.gremio);
+        c.partition = partitionPdg(in.scheduler, *in.pdg, *in.profile,
+                                   in.num_threads, &pf);
+        auto problems = validatePartition(
+            *in.pdg, c.partition,
+            /*require_pipeline=*/in.scheduler == Scheduler::Dswp);
         std::string reject;
         if (!problems.empty()) {
             reject = "invalid-partition";
@@ -254,8 +243,7 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
             reject = "duplicate";
         } else {
             tried_partitions.push_back(c.partition.assign);
-            if (planFor(in, c.partition, *in.profile, nullptr, nullptr,
-                        c.plan, c.plan_iters, reject))
+            if (planFor(in, *in.profile, nullptr, nullptr, c, reject))
                 out.push_back(std::move(c));
         }
         if (!reject.empty()) {
@@ -344,7 +332,8 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                         reject.empty()
                             ? validatePartition(
                                   *in.pdg, c.partition,
-                                  /*require_pipeline=*/!in.gremio)
+                                  /*require_pipeline=*/in.scheduler ==
+                                      Scheduler::Dswp)
                             : std::vector<std::string>{};
                     if (!problems.empty()) {
                         reject = "invalid-partition";
@@ -363,9 +352,8 @@ generateCandidates(const AutotuneInputs &in, const Working &cur,
                     }
                     if (reject.empty()) {
                         tried_partitions.push_back(c.partition.assign);
-                        if (planFor(in, c.partition, *in.profile,
-                                    nullptr, nullptr, c.plan,
-                                    c.plan_iters, reject))
+                        if (planFor(in, *in.profile, nullptr, nullptr,
+                                    c, reject))
                             out.push_back(std::move(c));
                     }
                     if (!reject.empty()) {
@@ -394,28 +382,21 @@ evalCandidate(const AutotuneInputs &in, const Candidate &c,
 {
     MtcgOptions mo;
     mo.queue_capacity = in.queue_capacity;
-    mo.max_queues = 0;
     out.s.partition = c.partition;
     out.s.plan = c.plan;
     out.s.plan_coco_iterations = c.plan_iters;
+    out.s.placement_prov = c.placement_prov;
     out.s.prog =
         runMtcg(*in.f, *in.pdg, c.partition, c.plan, *in.cd, mo);
-    out.s.queue_of.resize(c.plan.placements.size());
-    for (size_t i = 0; i < out.s.queue_of.size(); ++i)
-        out.s.queue_of[i] = static_cast<int>(i);
-    if (in.max_queues > 0) {
-        QueueAllocation alloc =
-            allocateQueues(c.plan, in.max_queues);
-        for (Function &tf : out.s.prog.threads) {
-            for (InstrId i = 0; i < tf.numInstrs(); ++i) {
-                Instr &ins = tf.instr(i);
-                if (isCommunication(ins.op))
-                    ins.queue = alloc.queue_of[ins.queue];
-            }
-        }
-        out.s.prog.num_queues = alloc.num_queues;
-        out.s.queue_of = alloc.queue_of;
-    }
+    QueueProvenance *qprov =
+        in.record_provenance ? &out.s.queue_prov : nullptr;
+    QueueAllocation alloc = in.max_queues > 0
+                                ? allocateQueues(c.plan, in.max_queues,
+                                                 qprov)
+                                : identityQueues(c.plan, qprov);
+    if (in.max_queues > 0)
+        remapQueues(out.s.prog, alloc);
+    out.s.queue_of = std::move(alloc.queue_of);
 
     // Every intermediate schedule must pass the static verifier (HB
     // race check included); a failing candidate is rejected, never
@@ -457,49 +438,21 @@ evalCandidate(const AutotuneInputs &in, const Candidate &c,
 StallReport
 profileSchedule(const AutotuneInputs &in, const Working &w)
 {
-    MemoryImage mem = in.make_memory();
-    CmpSimulator sim(in.machine, in.engine);
-    SimProfile profile;
-    sim.setProfile(&profile);
-    SimResult r = w.has_decoded
-                      ? sim.run(w.decoded, *in.ref_args, mem)
-                      : sim.run(w.s.prog, *in.ref_args, mem);
-    GMT_ASSERT(r.cycles == w.s.cycles,
-               "autotune instrumented rerun diverged");
-    std::string violation =
-        checkStallConservation(profile, stallTotals(r));
-    if (!violation.empty())
-        panic("autotune stall attribution broke conservation: ",
-              violation);
-    return buildStallReport(profile, r.cycles, w.s.plan, w.s.queue_of,
-                            w.s.prog);
+    return profileStalls(w.s.prog, w.has_decoded ? &w.decoded : nullptr,
+                         w.s.plan, w.s.queue_of, *in.ref_args,
+                         in.make_memory(), in.machine, in.engine,
+                         w.s.cycles, nullptr, "the autotuner")
+        .report;
 }
 
 /** The MT interpreter oracle + dynamic counts for an accepted
  *  schedule (a miscompare here is a compiler bug: die loudly). */
-void
-runAcceptedOracle(const AutotuneInputs &in, const AutotuneSchedule &s,
-                  AutotuneResult &result)
+MtRunCounts
+runAcceptedOracle(const AutotuneInputs &in, const AutotuneSchedule &s)
 {
-    MemoryImage mem = in.make_memory();
-    auto mt = interpretMt(s.prog, *in.ref_args, mem);
-    if (mt.deadlock)
-        fatal("autotune: deadlock in accepted schedule");
-    if (!mt.queues_drained)
-        fatal("autotune: queues not drained in accepted schedule");
-    if (mt.live_outs != *in.st_live_outs ||
-        !(mem == *in.st_final_mem))
-        fatal("autotune: accepted schedule output mismatch");
-    result.computation = 0;
-    result.duplicated_branches = 0;
-    result.reg_comm = 0;
-    result.mem_sync = 0;
-    for (const auto &st : mt.stats) {
-        result.computation += st.computation;
-        result.duplicated_branches += st.duplicated_branches;
-        result.reg_comm += st.produces + st.consumes;
-        result.mem_sync += st.produce_syncs + st.consume_syncs;
-    }
+    return runCheckedMt(s.prog, *in.ref_args, in.make_memory(),
+                        *in.st_live_outs, *in.st_final_mem,
+                        "the autotuner's accepted schedule");
 }
 
 int
@@ -683,12 +636,8 @@ autotuneSchedule(const AutotuneInputs &in,
         cur = std::move(evals[static_cast<size_t>(best)]);
         if (partition_changed)
             arena_cache.flush();
-        result.final_block_boost =
-            cands[static_cast<size_t>(best)].kind == "recut"
-                ? fb.cut_boost
-                : std::vector<uint64_t>{};
 
-        runAcceptedOracle(in, cur.s, result);
+        result.counts = runAcceptedOracle(in, cur.s);
         if (opts.on_accept)
             opts.on_accept(cur.s);
         result.trajectory.push_back(cur.s.cycles);
@@ -706,7 +655,7 @@ autotuneSchedule(const AutotuneInputs &in,
     // the dynamic counts from one oracle run so callers always get
     // them from here.
     if (result.moves_accepted == 0)
-        runAcceptedOracle(in, cur.s, result);
+        result.counts = runAcceptedOracle(in, cur.s);
 
     result.final_schedule = std::move(cur.s);
 
@@ -803,65 +752,40 @@ autotuneProvenance(const AutotuneInputs &in, const AutotuneResult &r,
             d.first_instr = i;
     }
 
-    // Placement decisions: re-derive the final plan with the serial
-    // instrumented COCO run under the final boost, asserted equal.
-    if (in.use_coco) {
-        EdgeProfile prof =
-            r.final_block_boost.empty()
-                ? *in.profile
-                : in.profile->withBlockBoost(r.final_block_boost);
-        CocoExec exec;
-        exec.provenance = &p.placement;
-        CocoResult coco = cocoOptimize(*in.f, *in.pdg, s.partition,
-                                       *in.cd, prof, in.coco, exec);
-        GMT_ASSERT(coco.plan == s.plan,
-                   "autotune provenance placement rerun diverged for ",
-                   cell);
-    } else {
-        p.placement.source = "mtcg-default";
-        for (size_t i = 0; i < s.plan.placements.size(); ++i) {
-            const CommPlacement &pl = s.plan.placements[i];
-            PlacementDecision d;
-            d.index = static_cast<int>(i);
-            d.is_mem = pl.kind == CommKind::MemorySync;
-            d.reg = pl.reg;
-            d.src_thread = pl.src_thread;
-            d.dst_thread = pl.dst_thread;
-            d.rule = "mtcg-default";
-            for (const auto &pt : pl.points)
-                d.points.push_back(
-                    {pt.block, pt.pos,
-                     static_cast<int64_t>(
-                         in.profile->pointWeight(pt)),
-                     0});
-            p.placement.placements.push_back(std::move(d));
-        }
-    }
-
-    // Queue decisions (same derivation as the obs-provenance pass).
-    if (in.max_queues <= 0) {
-        p.queues.max_queues = 0;
-        p.queues.num_queues = s.prog.num_queues;
-        for (size_t i = 0; i < s.queue_of.size(); ++i) {
-            const CommPlacement &pl = s.plan.placements[i];
-            QueueDecision d;
-            d.queue = s.queue_of[i];
-            d.src_thread = pl.src_thread;
-            d.dst_thread = pl.dst_thread;
-            d.rule = "identity";
-            d.pair_placements = 1;
-            d.pair_queues = 1;
-            d.placements.push_back(static_cast<int>(i));
-            p.queues.queues.push_back(std::move(d));
-        }
-    } else {
-        QueueAllocation alloc =
-            allocateQueues(s.plan, in.max_queues, &p.queues);
-        GMT_ASSERT(alloc.queue_of == s.queue_of,
-                   "autotune provenance queue rerun diverged for ",
-                   cell);
-    }
+    // Placement and queue decisions, as recorded when the final
+    // schedule was planned.
+    GMT_ASSERT(in.record_provenance,
+               "autotuneProvenance needs a recording loop run");
+    p.placement = s.placement_prov;
+    p.queues = s.queue_prov;
     return p;
+}
+
+StallRun
+profileStalls(const MtProgram &prog, const DecodedProgram *decoded,
+              const CommPlan &plan, const std::vector<int> &queue_of,
+              const std::vector<int64_t> &args, MemoryImage mem,
+              const MachineConfig &machine, SimEngine engine,
+              uint64_t expect_cycles, TimelineBuilder *timeline,
+              const std::string &what)
+{
+    CmpSimulator sim(machine, engine);
+    StallRun out;
+    sim.setProfile(&out.profile);
+    sim.setTimeline(timeline);
+    SimResult r = decoded ? sim.run(*decoded, args, mem)
+                          : sim.run(prog, args, mem);
+    GMT_ASSERT(r.cycles == expect_cycles,
+               "instrumented rerun diverged from the timed run in ",
+               what);
+    std::string violation =
+        checkStallConservation(out.profile, stallTotals(r));
+    if (!violation.empty())
+        panic("stall attribution broke conservation in ", what, " (",
+              simEngineName(engine), " engine): ", violation);
+    out.report =
+        buildStallReport(out.profile, r.cycles, plan, queue_of, prog);
+    return out;
 }
 
 } // namespace gmt

@@ -40,10 +40,13 @@
 #include "coco/coco.hpp"
 #include "mtcg/comm_plan.hpp"
 #include "obs/provenance.hpp"
+#include "obs/stall_report.hpp"
+#include "obs/timeline.hpp"
 #include "partition/partition.hpp"
 #include "pdg/pdg.hpp"
 #include "runtime/mt_interpreter.hpp"
 #include "sim/cmp_simulator.hpp"
+#include "sim/decoded_program.hpp"
 #include "sim/machine_config.hpp"
 
 namespace gmt
@@ -58,6 +61,13 @@ struct AutotuneSchedule
     MtProgram prog;
     std::vector<int> queue_of;
     uint64_t cycles = 0;
+
+    /**
+     * Decisions behind plan and queue_of, recorded by the run that
+     * made them; empty unless AutotuneInputs::record_provenance.
+     */
+    PlacementProvenance placement_prov;
+    QueueProvenance queue_prov;
 };
 
 /** Autotuner knobs (result axes; keyed by the driver). */
@@ -124,19 +134,9 @@ struct AutotuneResult
     /** Simulated cycles: baseline, then after each accepted move. */
     std::vector<uint64_t> trajectory;
 
-    /**
-     * Block boost under which the final plan's cuts were solved
-     * (empty = the base profile). Needed to re-derive placement
-     * provenance for the tuned schedule.
-     */
-    std::vector<uint64_t> final_block_boost;
-
-    // Dynamic instruction counts of the final schedule's MT run
-    // (oracle already passed against the ST reference).
-    uint64_t computation = 0;
-    uint64_t duplicated_branches = 0;
-    uint64_t reg_comm = 0;
-    uint64_t mem_sync = 0;
+    /** Dynamic instruction counts of the final schedule's MT run
+     *  (oracle already passed against the ST reference). */
+    MtRunCounts counts;
 
     /** Execution-only: wall time of each feedback round; round 0 is
      *  cold (baseline profiling + cold cut solves), later rounds
@@ -152,8 +152,8 @@ struct AutotuneInputs
     const ControlDependence *cd = nullptr;
     const EdgeProfile *profile = nullptr;
 
-    /** Partitioner for reweight candidates: GREMIO (else DSWP). */
-    bool gremio = false;
+    /** Partitioner for reweight candidates. */
+    Scheduler scheduler = Scheduler::Dswp;
     int num_threads = 2;
 
     bool use_coco = false;
@@ -171,6 +171,13 @@ struct AutotuneInputs
     std::function<MemoryImage()> make_memory;
     const std::vector<int64_t> *st_live_outs = nullptr;
     const MemoryImage *st_final_mem = nullptr;
+
+    /**
+     * Record each candidate's placement and queue decisions into its
+     * schedule, so the tuned schedule carries its own record
+     * (autotuneProvenance). The baseline must carry its record too.
+     */
+    bool record_provenance = false;
 };
 
 /**
@@ -190,11 +197,11 @@ AutotuneResult autotuneSchedule(const AutotuneInputs &in,
 std::string autotuneMovesJson(const AutotuneResult &r);
 
 /**
- * Build the full decision-provenance record of the tuned schedule:
- * partition units synthesized from the tuned assignment's PDG SCCs,
- * placement decisions re-derived by an instrumented serial COCO run
- * under the final boost (asserted equal to the final plan), queue
- * decisions from the allocator. @p cell names the record
+ * Build the full decision-provenance record of the tuned schedule
+ * from a loop run with AutotuneInputs::record_provenance: partition
+ * units synthesized from the tuned assignment's PDG SCCs, placement
+ * and queue decisions as the final schedule recorded them when it was
+ * planned (nothing is re-run). @p cell names the record
  * ("workload/SCHED[+COCO]+AT").
  */
 Provenance autotuneProvenance(const AutotuneInputs &in,
@@ -202,6 +209,31 @@ Provenance autotuneProvenance(const AutotuneInputs &in,
                               const std::string &cell,
                               const std::string &workload,
                               const std::string &scheduler);
+
+/** One instrumented re-simulation of a schedule (profileStalls). */
+struct StallRun
+{
+    SimProfile profile;
+    StallReport report;
+};
+
+/**
+ * Re-simulate @p prog on @p args and @p mem with stall attribution
+ * attached (and @p timeline, when non-null); the fast engine runs
+ * @p decoded when non-null. The run must repeat an uninstrumented one
+ * that took @p expect_cycles, and its attribution must sum exactly to
+ * the aggregate stall counters (panics naming @p what otherwise).
+ * Returns the attribution and its ranked report over @p plan and
+ * @p queue_of. Shared by the feedback rounds above and the obs-profile
+ * pass.
+ */
+StallRun profileStalls(const MtProgram &prog, const DecodedProgram *decoded,
+                       const CommPlan &plan,
+                       const std::vector<int> &queue_of,
+                       const std::vector<int64_t> &args, MemoryImage mem,
+                       const MachineConfig &machine, SimEngine engine,
+                       uint64_t expect_cycles, TimelineBuilder *timeline,
+                       const std::string &what);
 
 } // namespace gmt
 

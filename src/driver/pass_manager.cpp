@@ -12,8 +12,6 @@
 #include "mtcg/queue_alloc.hpp"
 #include "mtverify/mtverify.hpp"
 #include "obs/metrics.hpp"
-#include "partition/dswp.hpp"
-#include "partition/gremio.hpp"
 #include "pdg/pdg_builder.hpp"
 #include "runtime/interpreter.hpp"
 #include "sim/cmp_simulator.hpp"
@@ -77,10 +75,14 @@ pdgKey(const PipelineContext &ctx)
 std::string
 partitionKey(const PipelineContext &ctx)
 {
+    // A recording run keeps decision records on the partition, plan
+    // and program artifacts, so it keys them apart; every key of a
+    // run without provenance is unchanged.
     return std::string("partition|") + ctx.workload->cacheKey() + '|' +
            schedulerName(ctx.opts.scheduler) +
            "|nt=" + std::to_string(ctx.opts.num_threads) +
-           (ctx.opts.static_profile ? "|static" : "|train");
+           (ctx.opts.static_profile ? "|static" : "|train") +
+           (ctx.opts.record_provenance ? "|prov" : "");
 }
 
 std::string
@@ -467,26 +469,17 @@ passPartition(PipelineContext &ctx, PassStats &ps)
         [&]() -> std::shared_ptr<const PartitionArtifact> {
             const Pdg &pdg = ctx.pdg->pdg;
             auto art = std::make_shared<PartitionArtifact>();
-            art->partition =
-                ctx.opts.scheduler == Scheduler::Dswp
-                    ? dswpPartition(
-                          pdg, ctx.profile->profile,
-                          {.num_threads = ctx.opts.num_threads})
-                    : gremioPartition(
-                          pdg, ctx.profile->profile,
-                          {.num_threads = ctx.opts.num_threads});
+            art->partition = partitionPdg(
+                ctx.opts.scheduler, pdg, ctx.profile->profile,
+                ctx.opts.num_threads, nullptr,
+                ctx.opts.record_provenance ? &art->prov : nullptr);
             auto problems = validatePartition(
                 pdg, art->partition,
                 ctx.opts.scheduler == Scheduler::Dswp);
             if (!problems.empty())
                 fatal("partition invalid for ", ctx.workload->name,
                       ": ", problems[0]);
-            for (const auto &arc : pdg.arcs()) {
-                if (arc.kind == DepKind::Memory &&
-                    art->partition.threadOf(arc.src) !=
-                        art->partition.threadOf(arc.dst))
-                    art->has_mem_deps = true;
-            }
+            art->has_mem_deps = hasCrossThreadMemDeps(pdg, art->partition);
             return art;
         },
         ps);
@@ -506,11 +499,15 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
             const Pdg &pdg = ctx.pdg->pdg;
             const ControlDependence &cd = ctx.pdg->cd;
             auto art = std::make_shared<PlanArtifact>();
+            const bool record = ctx.opts.record_provenance;
             if (ctx.opts.use_coco) {
+                CocoExec exec;
+                if (record)
+                    exec.provenance = &art->prov;
                 auto coco = cocoOptimize(f, pdg,
                                          ctx.partition->partition, cd,
                                          ctx.profile->profile,
-                                         ctx.opts.coco);
+                                         ctx.opts.coco, exec);
                 art->plan = std::move(coco.plan);
                 art->coco_iterations = coco.iterations;
                 auto problems =
@@ -522,6 +519,9 @@ passPlacement(PipelineContext &ctx, PassStats &ps)
             } else {
                 art->plan = defaultMtcgPlan(
                     f, pdg, ctx.partition->partition, cd);
+                if (record)
+                    art->prov = defaultPlacementProvenance(
+                        art->plan, ctx.profile->profile);
             }
             return art;
         },
@@ -543,15 +543,15 @@ passMtcg(PipelineContext &ctx, PassStats &ps)
             // pass multiplexes them onto an architected budget.
             MtcgOptions mtcg_opts;
             mtcg_opts.queue_capacity = resolvedQueueCapacity(ctx.opts);
-            mtcg_opts.max_queues = 0;
             auto art = std::make_shared<ProgramArtifact>();
             art->prog = runMtcg(ctx.ir->func, ctx.pdg->pdg,
                                 ctx.partition->partition,
                                 ctx.plan->plan, ctx.pdg->cd, mtcg_opts);
-            // max_queues == 0: placement i owns queue i.
-            art->queue_of.resize(ctx.plan->plan.placements.size());
-            for (size_t pi = 0; pi < art->queue_of.size(); ++pi)
-                art->queue_of[pi] = static_cast<int>(pi);
+            art->queue_of =
+                identityQueues(ctx.plan->plan,
+                               ctx.opts.record_provenance ? &art->prov
+                                                          : nullptr)
+                    .queue_of;
             return art;
         },
         ps);
@@ -571,22 +571,13 @@ passQueueAlloc(PipelineContext &ctx, PassStats &ps)
     ctx.prog = ctx.cached<ProgramArtifact>(
         queueAllocKey(ctx),
         [&]() -> std::shared_ptr<const ProgramArtifact> {
-            // The MTCG artifact numbers queues by placement index, so
-            // remapping instruction queue ids through the allocation
-            // is exactly the multiplexed program.
-            QueueAllocation alloc = allocateQueues(
-                ctx.plan->plan, ctx.opts.max_queues);
             auto art = std::make_shared<ProgramArtifact>();
+            QueueAllocation alloc = allocateQueues(
+                ctx.plan->plan, ctx.opts.max_queues,
+                ctx.opts.record_provenance ? &art->prov : nullptr);
             art->prog = ctx.prog->prog;
-            for (Function &tf : art->prog.threads) {
-                for (InstrId i = 0; i < tf.numInstrs(); ++i) {
-                    Instr &in = tf.instr(i);
-                    if (isCommunication(in.op))
-                        in.queue = alloc.queue_of[in.queue];
-                }
-            }
-            art->prog.num_queues = alloc.num_queues;
-            art->queue_of = alloc.queue_of;
+            remapQueues(art->prog, alloc);
+            art->queue_of = std::move(alloc.queue_of);
             return art;
         },
         ps);
@@ -650,25 +641,10 @@ passMtRun(PipelineContext &ctx, PassStats &ps)
     ctx.mt_run = ctx.cached<MtRunArtifact>(
         "mtrun|" + queueAllocKey(ctx),
         [&, st_ref, prog]() -> std::shared_ptr<const MtRunArtifact> {
-            MemoryImage mt_mem = workloadMemory(w, /*ref=*/true);
-            auto mt = interpretMt(prog->prog, w.ref_args, mt_mem);
-            if (mt.deadlock)
-                fatal("deadlock in generated code for ", w.name);
-            if (!mt.queues_drained)
-                fatal("queues not drained for ", w.name);
-            if (mt.live_outs != st_ref->live_outs ||
-                !(mt_mem == st_ref->final_mem))
-                fatal("MT output mismatch for ", w.name, " (",
-                      schedulerName(ctx.opts.scheduler),
-                      ctx.opts.use_coco ? "+COCO" : "", ")");
-            auto art = std::make_shared<MtRunArtifact>();
-            for (const auto &st : mt.stats) {
-                art->computation += st.computation;
-                art->duplicated_branches += st.duplicated_branches;
-                art->reg_comm += st.produces + st.consumes;
-                art->mem_sync += st.produce_syncs + st.consume_syncs;
-            }
-            return art;
+            return std::make_shared<MtRunArtifact>(runCheckedMt(
+                prog->prog, w.ref_args, workloadMemory(w, /*ref=*/true),
+                st_ref->live_outs, st_ref->final_mem,
+                "the generated code of " + ctx.cellId()));
         },
         ps);
     ps.add("stref_cached", st_ref_hit ? 1 : 0);
@@ -821,7 +797,7 @@ makeAutotuneInputs(const PipelineContext &ctx)
     in.pdg = &ctx.pdg->pdg;
     in.cd = &ctx.pdg->cd;
     in.profile = &ctx.profile->profile;
-    in.gremio = ctx.opts.scheduler == Scheduler::Gremio;
+    in.scheduler = ctx.opts.scheduler;
     in.num_threads = ctx.opts.num_threads;
     in.use_coco = ctx.opts.use_coco;
     in.coco = ctx.opts.coco;
@@ -833,6 +809,7 @@ makeAutotuneInputs(const PipelineContext &ctx)
     in.make_memory = [&w]() { return workloadMemory(w, /*ref=*/true); };
     in.st_live_outs = &ctx.st_ref->live_outs;
     in.st_final_mem = &ctx.st_ref->final_mem;
+    in.record_provenance = ctx.opts.record_provenance;
     return in;
 }
 
@@ -873,6 +850,8 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
             baseline.prog = prog->prog;
             baseline.queue_of = prog->queue_of;
             baseline.cycles = mt_sim->cycles;
+            baseline.placement_prov = plan->prov;
+            baseline.queue_prov = prog->prov;
             auto art = std::make_shared<AutotuneArtifact>();
             art->result = autotuneSchedule(in, baseline,
                                            ctx.opts.autotune_opts);
@@ -887,11 +866,8 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
     {
         auto art = std::make_shared<PartitionArtifact>();
         art->partition = s.partition;
-        for (const auto &arc : ctx.pdg->pdg.arcs())
-            if (arc.kind == DepKind::Memory &&
-                art->partition.threadOf(arc.src) !=
-                    art->partition.threadOf(arc.dst))
-                art->has_mem_deps = true;
+        art->has_mem_deps =
+            hasCrossThreadMemDeps(ctx.pdg->pdg, art->partition);
         ctx.partition = art;
     }
     {
@@ -906,14 +882,7 @@ passAutotune(PipelineContext &ctx, PassStats &ps)
         art->queue_of = s.queue_of;
         ctx.prog = art;
     }
-    {
-        auto art = std::make_shared<MtRunArtifact>();
-        art->computation = r.computation;
-        art->duplicated_branches = r.duplicated_branches;
-        art->reg_comm = r.reg_comm;
-        art->mem_sync = r.mem_sync;
-        ctx.mt_run = art;
-    }
+    ctx.mt_run = std::make_shared<MtRunArtifact>(r.counts);
     if (ctx.opts.sim_engine == SimEngine::Fast) {
         auto art = std::make_shared<MtDecodedArtifact>();
         art->prog = decodeProgram(s.prog);
@@ -1007,10 +976,7 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
             obsProfileKey(ctx),
             [mt_run]() -> std::shared_ptr<const ObsProfileArtifact> {
                 auto art = std::make_shared<ObsProfileArtifact>();
-                art->computation = mt_run->computation;
-                art->duplicated_branches = mt_run->duplicated_branches;
-                art->reg_comm = mt_run->reg_comm;
-                art->mem_sync = mt_run->mem_sync;
+                static_cast<MtRunCounts &>(*art) = *mt_run;
                 return art;
             },
             ps);
@@ -1018,46 +984,24 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
         return;
     }
 
-    const MachineConfig cfg = ctx.opts.machine;
-    const SimEngine engine = ctx.opts.sim_engine;
-    auto prog = ctx.prog;
-    auto plan = ctx.plan;
-    auto mt_dec = ctx.mt_decoded;
-    auto mt_sim = ctx.mt_sim;
+    GMT_ASSERT(ctx.mt_sim, "obs-profile needs the sim pass's cycles");
     ctx.obs = ctx.cached<ObsProfileArtifact>(
         obsProfileKey(ctx),
-        [&w, cfg, engine, prog, plan, mt_run, mt_dec,
-         mt_sim]() -> std::shared_ptr<const ObsProfileArtifact> {
-            MemoryImage mem = workloadMemory(w, /*ref=*/true);
-            CmpSimulator sim(cfg, engine);
-            SimProfile profile;
+        [&]() -> std::shared_ptr<const ObsProfileArtifact> {
+            const ProgramArtifact &prog = *ctx.prog;
             TimelineBuilder timeline;
-            sim.setProfile(&profile);
-            sim.setTimeline(&timeline);
-            SimResult r = mt_dec
-                              ? sim.run(mt_dec->prog, w.ref_args, mem)
-                              : sim.run(prog->prog, w.ref_args, mem);
-            GMT_ASSERT(!mt_sim || r.cycles == mt_sim->cycles,
-                       "instrumented rerun diverged from the sim "
-                       "pass for ",
-                       w.name);
-            std::string violation =
-                checkStallConservation(profile, stallTotals(r));
-            if (!violation.empty())
-                panic("stall attribution broke conservation for ",
-                      w.name, " (", simEngineName(engine),
-                      " engine): ", violation);
+            StallRun run = profileStalls(
+                prog.prog, ctx.mt_decoded ? &ctx.mt_decoded->prog : nullptr,
+                ctx.plan->plan, prog.queue_of, w.ref_args,
+                workloadMemory(w, /*ref=*/true), ctx.opts.machine,
+                ctx.opts.sim_engine, ctx.mt_sim->cycles, &timeline,
+                ctx.cellId());
             auto art = std::make_shared<ObsProfileArtifact>();
+            static_cast<MtRunCounts &>(*art) = *mt_run;
             art->simulated = true;
-            art->report =
-                buildStallReport(profile, r.cycles, plan->plan,
-                                 prog->queue_of, prog->prog);
-            art->profile = std::move(profile);
+            art->report = std::move(run.report);
+            art->profile = std::move(run.profile);
             art->timeline = timeline.take();
-            art->computation = mt_run->computation;
-            art->duplicated_branches = mt_run->duplicated_branches;
-            art->reg_comm = mt_run->reg_comm;
-            art->mem_sync = mt_run->mem_sync;
             return art;
         },
         ps);
@@ -1074,12 +1018,10 @@ passObsProfile(PipelineContext &ctx, PassStats &ps)
 }
 
 /**
- * Re-derive every scheduling decision with instrumented serial
- * re-runs of the deciding algorithms, each asserted equal to the
- * pipeline's own (possibly cache-hit) artifact — so the published
- * record provably describes this cell's schedule no matter which run
- * populated the cache, and is byte-identical across job counts,
- * cache states, and warm/cold max-flow.
+ * Assemble the cell's decision record from the records the partition,
+ * placement and queue passes kept on their artifacts (the autotuner's
+ * final schedule carries its own). Nothing is re-run, so the record is
+ * the one the deciding run made, whichever run filled the cache.
  */
 void
 passObsProvenance(PipelineContext &ctx, PassStats &ps)
@@ -1088,147 +1030,41 @@ passObsProvenance(PipelineContext &ctx, PassStats &ps)
         ps.add("skipped", 1);
         return;
     }
-    if (ctx.opts.autotune) {
-        // A tuned schedule is not re-derivable by the bare
-        // partitioner: build its record from the autotuner's result
-        // (SCC-synthesized units; placement re-derived by a serial
-        // instrumented COCO run under the final stall boost, asserted
-        // equal to the tuned plan).
-        GMT_ASSERT(ctx.autotune, "autotune pass must run first");
-        auto at = ctx.autotune;
-        const std::string cell = ctx.cellId();
-        const std::string wname = ctx.workload->name;
-        const std::string sched = schedulerName(ctx.opts.scheduler);
-        ctx.prov = ctx.cached<ProvenanceArtifact>(
-            provenanceKey(ctx),
-            [&]() -> std::shared_ptr<const ProvenanceArtifact> {
-                auto art = std::make_shared<ProvenanceArtifact>();
-                art->prov = autotuneProvenance(makeAutotuneInputs(ctx),
-                                               at->result, cell, wname,
-                                               sched);
-                art->canonical_json = provenanceJson(art->prov);
-                return art;
-            },
-            ps);
-        ps.add("units",
-               static_cast<int64_t>(
-                   ctx.prov->prov.partition.units.size()));
-        ps.add("placements",
-               static_cast<int64_t>(
-                   ctx.prov->prov.placement.placements.size()));
-        ps.add("json_bytes",
-               static_cast<int64_t>(ctx.prov->canonical_json.size()));
-        return;
-    }
-    auto ir = ctx.ir;
-    auto profile = ctx.profile;
-    auto pdg_art = ctx.pdg;
-    auto part = ctx.partition;
-    auto plan = ctx.plan;
-    auto prog = ctx.prog;
-    const PipelineOptions opts = ctx.opts;
-    const std::string cell = ctx.cellId();
-    const std::string wname = ctx.workload->name;
+    GMT_ASSERT(!ctx.opts.autotune || ctx.autotune,
+               "autotune pass must run first");
     ctx.prov = ctx.cached<ProvenanceArtifact>(
         provenanceKey(ctx),
         [&]() -> std::shared_ptr<const ProvenanceArtifact> {
             auto art = std::make_shared<ProvenanceArtifact>();
             Provenance &p = art->prov;
-            p.cell = cell;
-            p.workload = wname;
-            p.scheduler = schedulerName(opts.scheduler);
-            p.coco = opts.use_coco;
-            p.num_threads = opts.num_threads;
-
-            // Partitioner decisions.
-            ThreadPartition repart =
-                opts.scheduler == Scheduler::Dswp
-                    ? dswpPartition(
-                          pdg_art->pdg, profile->profile,
-                          {.num_threads = opts.num_threads},
-                          &p.partition)
-                    : gremioPartition(
-                          pdg_art->pdg, profile->profile,
-                          {.num_threads = opts.num_threads},
-                          &p.partition);
-            GMT_ASSERT(repart.assign == part->partition.assign,
-                       "provenance partition rerun diverged for ",
-                       cell);
-
-            // Placement decisions.
-            if (opts.use_coco) {
-                CocoExec exec;
-                exec.provenance = &p.placement;
-                auto coco = cocoOptimize(
-                    ir->func, pdg_art->pdg, part->partition,
-                    pdg_art->cd, profile->profile, opts.coco, exec);
-                GMT_ASSERT(coco.plan == plan->plan,
-                           "provenance placement rerun diverged for ",
-                           cell);
+            if (ctx.opts.autotune) {
+                p = autotuneProvenance(
+                    makeAutotuneInputs(ctx), ctx.autotune->result,
+                    ctx.cellId(), ctx.workload->name,
+                    schedulerName(ctx.opts.scheduler));
             } else {
-                // Algorithm 1 has no search to replay: synthesize the
-                // rule and per-point profile weights from the plan.
-                p.placement.source = "mtcg-default";
-                const auto &placements = plan->plan.placements;
-                for (size_t i = 0; i < placements.size(); ++i) {
-                    const CommPlacement &pl = placements[i];
-                    PlacementDecision d;
-                    d.index = static_cast<int>(i);
-                    d.is_mem = pl.kind == CommKind::MemorySync;
-                    d.reg = pl.reg;
-                    d.src_thread = pl.src_thread;
-                    d.dst_thread = pl.dst_thread;
-                    d.rule = "mtcg-default";
-                    for (const auto &pt : pl.points)
-                        d.points.push_back(
-                            {pt.block, pt.pos,
-                             static_cast<int64_t>(
-                                 profile->profile.pointWeight(pt)),
-                             0});
-                    p.placement.placements.push_back(std::move(d));
-                }
+                p.cell = ctx.cellId();
+                p.workload = ctx.workload->name;
+                p.scheduler = schedulerName(ctx.opts.scheduler);
+                p.coco = ctx.opts.use_coco;
+                p.num_threads = ctx.opts.num_threads;
+                p.partition = ctx.partition->prov;
+                p.placement = ctx.plan->prov;
+                p.queues = ctx.prog->prov;
             }
-
-            // Queue decisions.
-            if (opts.max_queues <= 0) {
-                // passQueueAlloc was skipped: placement i owns
-                // queue i (paper footnote 1).
-                p.queues.max_queues = 0;
-                p.queues.num_queues = prog->prog.num_queues;
-                const auto &placements = plan->plan.placements;
-                for (size_t i = 0; i < prog->queue_of.size(); ++i) {
-                    const CommPlacement &pl = placements[i];
-                    QueueDecision d;
-                    d.queue = prog->queue_of[i];
-                    d.src_thread = pl.src_thread;
-                    d.dst_thread = pl.dst_thread;
-                    d.rule = "identity";
-                    d.pair_placements = 1;
-                    d.pair_queues = 1;
-                    d.placements.push_back(static_cast<int>(i));
-                    p.queues.queues.push_back(std::move(d));
-                }
-            } else {
-                QueueAllocation alloc = allocateQueues(
-                    plan->plan, opts.max_queues, &p.queues);
-                GMT_ASSERT(alloc.queue_of == prog->queue_of,
-                           "provenance queue rerun diverged for ",
-                           cell);
-            }
-
             art->canonical_json = provenanceJson(p);
             return art;
         },
         ps);
-    ps.add("units",
-           static_cast<int64_t>(ctx.prov->prov.partition.units.size()));
+    const Provenance &p = ctx.prov->prov;
+    ps.add("units", static_cast<int64_t>(p.partition.units.size()));
     ps.add("placements",
-           static_cast<int64_t>(
-               ctx.prov->prov.placement.placements.size()));
-    ps.add("elided",
-           static_cast<int64_t>(ctx.prov->prov.placement.elided.size()));
-    ps.add("queues",
-           static_cast<int64_t>(ctx.prov->prov.queues.queues.size()));
+           static_cast<int64_t>(p.placement.placements.size()));
+    if (!ctx.opts.autotune) {
+        ps.add("elided",
+               static_cast<int64_t>(p.placement.elided.size()));
+        ps.add("queues", static_cast<int64_t>(p.queues.queues.size()));
+    }
     ps.add("json_bytes",
            static_cast<int64_t>(ctx.prov->canonical_json.size()));
 }

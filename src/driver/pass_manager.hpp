@@ -86,12 +86,19 @@ struct PdgArtifact
     ControlDependence cd;
 };
 
+// The decision records (`prov`) below are filled by the run that made
+// the decisions, and only with PipelineOptions::record_provenance,
+// which is part of every key from partitionKey on. The artifacts the
+// autotune pass republishes carry none.
+
 struct PartitionArtifact
 {
     ThreadPartition partition;
 
     /** Any cross-thread memory dependence in the PDG? */
     bool has_mem_deps = false;
+
+    PartitionProvenance prov;
 };
 
 struct PlanArtifact
@@ -100,6 +107,8 @@ struct PlanArtifact
 
     /** COCO repeat-until iterations (0 for the default placement). */
     int coco_iterations = 0;
+
+    PlacementProvenance prov;
 };
 
 struct ProgramArtifact
@@ -112,6 +121,9 @@ struct ProgramArtifact
      * multiplexed assignment after queue-alloc.
      */
     std::vector<int> queue_of;
+
+    /** How queue_of was chosen (identity or allocateQueues). */
+    QueueProvenance prov;
 };
 
 /** Single-threaded reference run (the equivalence oracle's truth). */
@@ -122,13 +134,7 @@ struct StRefArtifact
 };
 
 /** Dynamic instruction counts of the MT run (oracle already passed). */
-struct MtRunArtifact
-{
-    uint64_t computation = 0;
-    uint64_t duplicated_branches = 0;
-    uint64_t reg_comm = 0;
-    uint64_t mem_sync = 0;
-};
+using MtRunArtifact = MtRunCounts;
 
 /**
  * Pre-decoded instruction streams for the fast timing engine.
@@ -164,24 +170,17 @@ struct MtSimArtifact
  * timing run, plus the ranked per-queue / per-block report
  * (obs/stall_report.hpp). The attribution is engine-independent and
  * conserved — it sums exactly to the aggregate CoreStats counters,
- * checked at build time. In counts-only mode (simulate off) only the
- * dynamic instruction counts below are filled, which is all
- * bench/fig1 needs.
+ * checked at build time. The MtRunCounts base is copied from the
+ * MtRunArtifact and always filled; in counts-only mode (simulate off)
+ * it is all that is filled, which is all bench/fig1 needs.
  */
-struct ObsProfileArtifact
+struct ObsProfileArtifact : MtRunCounts
 {
     bool simulated = false;
 
     SimProfile profile;   ///< raw (core, block[, queue]) charges
     SimTimeline timeline; ///< per-core intervals + queue occupancy
     StallReport report;   ///< ranked rollup (empty when !simulated)
-
-    // Dynamic instruction counts, copied from the MtRunArtifact
-    // (always filled; the fig1 breakdown sources them from here).
-    uint64_t computation = 0;
-    uint64_t duplicated_branches = 0;
-    uint64_t reg_comm = 0;
-    uint64_t mem_sync = 0;
 
     uint64_t communication() const { return reg_comm + mem_sync; }
 };
@@ -203,13 +202,14 @@ struct AutotuneArtifact
 
 /**
  * Decision provenance of one cell (the obs-provenance pass): the full
- * Provenance record re-derived by serial instrumented re-runs of the
- * partitioner, COCO, and the queue allocator — each asserted equal to
- * the pipeline's own artifacts, so a cache-hit cell carries exactly
- * the provenance of the run that populated the cache. canonical_json
- * is the byte representation (schema:1, fixed key order) determinism
- * tests and gmt-explain --diff compare; it excludes execution-only
- * fields (warm/cold solve), which live only in `prov`.
+ * Provenance record, assembled from the records the partition,
+ * placement and queue passes kept on their own artifacts (or, for an
+ * autotuned cell, from autotuneProvenance). Each record comes from
+ * the one run that made the decisions, so a cache-hit cell carries
+ * exactly the provenance of the run that populated the cache.
+ * canonical_json is the byte representation (schema:1, fixed key
+ * order) determinism tests and gmt-explain --diff compare; it excludes
+ * execution-only fields (warm/cold solve), which live only in `prov`.
  */
 struct ProvenanceArtifact
 {

@@ -25,9 +25,6 @@
 namespace gmt
 {
 
-/** Which GMT partitioner to run. */
-enum class Scheduler { Dswp, Gremio };
-
 const char *schedulerName(Scheduler s);
 
 /** Pipeline configuration. */
@@ -112,12 +109,15 @@ struct PipelineOptions
     bool profile_stalls = false;
 
     /**
-     * Run the obs-provenance pass: re-derive every scheduling
-     * decision (partitioner steps, COCO cuts, queue shares) with
-     * instrumented serial re-runs asserted equal to the pipeline's
-     * artifacts, and publish the record as a ProvenanceArtifact
-     * (obs/provenance.hpp). Purely observational: plans, programs,
-     * and results are byte-identical with this on or off.
+     * Record every scheduling decision (partitioner steps, COCO cuts,
+     * queue shares) where it is made: the partition, placement and
+     * queue passes, and the autotuner's candidates, hand their one
+     * real run a provenance sink and keep the record on their
+     * artifact; the obs-provenance pass assembles the records into a
+     * ProvenanceArtifact (obs/provenance.hpp). Part of partitionKey
+     * and every key below it when on, and of no key when off.
+     * Purely observational: plans, programs, and results are
+     * byte-identical with this on or off.
      */
     bool record_provenance = false;
 

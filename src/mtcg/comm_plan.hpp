@@ -115,6 +115,14 @@ CommPlan defaultMtcgPlan(const Function &f, const Pdg &pdg,
                          const ThreadPartition &partition,
                          const ControlDependence &cd);
 
+/**
+ * Placement provenance of a defaultMtcgPlan() result. Algorithm 1 has
+ * no search to record, so every placement gets rule "mtcg-default"
+ * and each point its @p profile weight (estimated executions).
+ */
+PlacementProvenance defaultPlacementProvenance(const CommPlan &plan,
+                                               const EdgeProfile &profile);
+
 } // namespace gmt
 
 #endif // GMT_MTCG_COMM_PLAN_HPP

@@ -4,7 +4,6 @@
 
 #include "analysis/dominators.hpp"
 #include "ir/verifier.hpp"
-#include "mtcg/queue_alloc.hpp"
 #include "support/error.hpp"
 
 namespace gmt
@@ -30,20 +29,9 @@ runMtcg(const Function &f, const Pdg &pdg,
     (void)pdg;
     const int nt = partition.num_threads;
 
-    // Queue assignment: one queue per placement, or multiplexed onto
-    // an architected budget.
-    std::vector<int> queue_of(plan.placements.size());
-    int num_queues;
-    if (opts.max_queues > 0) {
-        QueueAllocation alloc = allocateQueues(plan, opts.max_queues);
-        queue_of = alloc.queue_of;
-        num_queues = alloc.num_queues;
-    } else {
-        for (size_t pi = 0; pi < queue_of.size(); ++pi)
-            queue_of[pi] = static_cast<int>(pi);
-        num_queues = plan.numQueues();
-    }
-
+    // One queue per placement (queue i carries placement i);
+    // queue_alloc.hpp multiplexes onto an architected budget.
+    const int num_queues = plan.numQueues();
     MtProgram prog;
     prog.num_queues = num_queues;
     prog.queue_capacity = opts.queue_capacity;
@@ -102,20 +90,20 @@ runMtcg(const Function &f, const Pdg &pdg,
                         if (pl.kind == CommKind::RegisterData) {
                             out.append(nb, {.op = Opcode::Produce,
                                             .src1 = pl.reg,
-                                            .queue = queue_of[pi]});
+                                            .queue = pi});
                         } else {
                             out.append(nb, {.op = Opcode::ProduceSync,
-                                            .queue = queue_of[pi]});
+                                            .queue = pi});
                         }
                     }
                     if (pl.dst_thread == t) {
                         if (pl.kind == CommKind::RegisterData) {
                             out.append(nb, {.op = Opcode::Consume,
                                             .dst = pl.reg,
-                                            .queue = queue_of[pi]});
+                                            .queue = pi});
                         } else {
                             out.append(nb, {.op = Opcode::ConsumeSync,
-                                            .queue = queue_of[pi]});
+                                            .queue = pi});
                         }
                     }
                 }
@@ -189,7 +177,7 @@ runMtcg(const Function &f, const Pdg &pdg,
 
         verifyOrDie(out,
                     {.num_queues = num_queues,
-                     .unique_placement_queues = opts.max_queues <= 0},
+                     .unique_placement_queues = true},
                     "mtcg emission, thread " + std::to_string(t));
         prog.threads.push_back(std::move(out));
     }

@@ -27,17 +27,12 @@ struct MtcgOptions
 {
     /** Per-queue capacity recorded in the emitted program. */
     int queue_capacity = 32;
-
-    /**
-     * Architected queue budget: placements are multiplexed onto at
-     * most this many queues (see mtcg/queue_alloc.hpp). 0 = one
-     * queue per placement (the paper's simplification).
-     */
-    int max_queues = 0;
 };
 
 /**
- * Generate one function per thread.
+ * Generate one function per thread. Placement i communicates on
+ * queue i; mtcg/queue_alloc.hpp multiplexes the result onto an
+ * architected queue budget (allocateQueues + remapQueues).
  *
  * @param f          verified original function (critical edges split).
  * @param pdg        its PDG (used for sanity checks only).

@@ -77,4 +77,44 @@ allocateQueues(const CommPlan &plan, int max_queues,
     return alloc;
 }
 
+QueueAllocation
+identityQueues(const CommPlan &plan, QueueProvenance *prov)
+{
+    QueueAllocation alloc;
+    alloc.num_queues = plan.numQueues();
+    alloc.queue_of.resize(plan.placements.size());
+    for (size_t pi = 0; pi < alloc.queue_of.size(); ++pi)
+        alloc.queue_of[pi] = static_cast<int>(pi);
+    if (!prov)
+        return alloc;
+    prov->max_queues = 0;
+    prov->num_queues = alloc.num_queues;
+    for (size_t pi = 0; pi < plan.placements.size(); ++pi) {
+        const CommPlacement &pl = plan.placements[pi];
+        QueueDecision d;
+        d.queue = static_cast<int>(pi);
+        d.src_thread = pl.src_thread;
+        d.dst_thread = pl.dst_thread;
+        d.rule = "identity";
+        d.pair_placements = 1;
+        d.pair_queues = 1;
+        d.placements.push_back(static_cast<int>(pi));
+        prov->queues.push_back(std::move(d));
+    }
+    return alloc;
+}
+
+void
+remapQueues(MtProgram &prog, const QueueAllocation &alloc)
+{
+    for (Function &tf : prog.threads) {
+        for (InstrId i = 0; i < tf.numInstrs(); ++i) {
+            Instr &in = tf.instr(i);
+            if (isCommunication(in.op))
+                in.queue = alloc.queue_of[in.queue];
+        }
+    }
+    prog.num_queues = alloc.num_queues;
+}
+
 } // namespace gmt

@@ -26,6 +26,7 @@
 
 #include "mtcg/comm_plan.hpp"
 #include "obs/provenance.hpp"
+#include "runtime/mt_interpreter.hpp"
 
 namespace gmt
 {
@@ -51,6 +52,21 @@ struct QueueAllocation
  */
 QueueAllocation allocateQueues(const CommPlan &plan, int max_queues,
                                QueueProvenance *prov = nullptr);
+
+/**
+ * The paper's allocation: placement i owns queue i. This is the
+ * numbering runMtcg() emits. When @p prov is non-null, records one
+ * "identity" QueueDecision per placement (max_queues 0).
+ */
+QueueAllocation identityQueues(const CommPlan &plan,
+                               QueueProvenance *prov = nullptr);
+
+/**
+ * Multiplex @p prog, as runMtcg() emitted it (queue = placement index),
+ * onto @p alloc: every communication instruction's queue id goes
+ * through alloc.queue_of, and prog.num_queues becomes alloc.num_queues.
+ */
+void remapQueues(MtProgram &prog, const QueueAllocation &alloc);
 
 } // namespace gmt
 

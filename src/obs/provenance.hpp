@@ -10,13 +10,13 @@
  * flow graph), and how the queue allocator multiplexed placements
  * onto architected queues.
  *
- * The record is strictly deterministic: it is re-derived by a serial
- * re-run of the deciding algorithms (the obs-provenance pass), so it
- * is byte-identical across job counts, cache states, and warm/cold
- * max-flow — the same guarantee the plans themselves carry. The only
- * execution-dependent bits (whether a cut was solved warm or cold)
- * live in fields explicitly excluded from the canonical
- * serialization.
+ * The record is strictly deterministic: the deciding algorithms fill
+ * it during the run that makes the decisions, and they decide the
+ * same way at any job count, cache state, and warm/cold max-flow, so
+ * the record is byte-identical across all of them — the same
+ * guarantee the plans themselves carry. The only execution-dependent
+ * bits (whether a cut was solved warm or cold) live in fields
+ * explicitly excluded from the canonical serialization.
  *
  * Sits below the partitioners / COCO / queue allocator in the library
  * graph (links gmt_ir only), so all three can fill it through an

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "partition/dswp.hpp"
+#include "partition/gremio.hpp"
 #include "support/error.hpp"
 
 namespace gmt
@@ -66,6 +68,30 @@ countCrossThreadArcs(const Pdg &pdg, const ThreadPartition &p)
     for (const auto &arc : pdg.arcs())
         n += (p.assign[arc.src] != p.assign[arc.dst]);
     return n;
+}
+
+bool
+hasCrossThreadMemDeps(const Pdg &pdg, const ThreadPartition &p)
+{
+    for (const auto &arc : pdg.arcs())
+        if (arc.kind == DepKind::Memory &&
+            p.assign[arc.src] != p.assign[arc.dst])
+            return true;
+    return false;
+}
+
+ThreadPartition
+partitionPdg(Scheduler s, const Pdg &pdg, const EdgeProfile &profile,
+             int num_threads, const PartitionFeedback *feedback,
+             PartitionProvenance *prov)
+{
+    if (s == Scheduler::Gremio)
+        return gremioPartition(
+            pdg, profile,
+            {.num_threads = num_threads, .feedback = feedback}, prov);
+    return dswpPartition(
+        pdg, profile, {.num_threads = num_threads, .feedback = feedback},
+        prov);
 }
 
 } // namespace gmt

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/edge_profile.hpp"
+#include "obs/provenance.hpp"
 #include "pdg/pdg.hpp"
 
 namespace gmt
@@ -95,6 +97,23 @@ std::vector<std::string> validatePartition(const Pdg &pdg,
  * how much communication a partition implies.
  */
 int countCrossThreadArcs(const Pdg &pdg, const ThreadPartition &p);
+
+/** Does any PDG memory dependence cross threads under @p p? */
+bool hasCrossThreadMemDeps(const Pdg &pdg, const ThreadPartition &p);
+
+/** Which GMT partitioner to run. */
+enum class Scheduler { Dswp, Gremio };
+
+/**
+ * Run the partitioner @p s (partition/dswp.hpp, partition/gremio.hpp)
+ * with its default knobs, @p num_threads threads and the optional
+ * stall @p feedback, recording its decisions into @p prov when
+ * non-null.
+ */
+ThreadPartition partitionPdg(Scheduler s, const Pdg &pdg,
+                             const EdgeProfile &profile, int num_threads,
+                             const PartitionFeedback *feedback = nullptr,
+                             PartitionProvenance *prov = nullptr);
 
 } // namespace gmt
 

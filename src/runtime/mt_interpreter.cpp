@@ -275,4 +275,26 @@ interpretMt(const MtProgram &prog, const std::vector<int64_t> &args,
     return result;
 }
 
+MtRunCounts
+runCheckedMt(const MtProgram &prog, const std::vector<int64_t> &args,
+             MemoryImage mem, const std::vector<int64_t> &st_live_outs,
+             const MemoryImage &st_final_mem, const std::string &what)
+{
+    MtRunResult mt = interpretMt(prog, args, mem);
+    if (mt.deadlock)
+        fatal("deadlock in ", what);
+    if (!mt.queues_drained)
+        fatal("queues not drained in ", what);
+    if (mt.live_outs != st_live_outs || !(mem == st_final_mem))
+        fatal("MT output mismatch in ", what);
+    MtRunCounts counts;
+    for (const ThreadStats &st : mt.stats) {
+        counts.computation += st.computation;
+        counts.duplicated_branches += st.duplicated_branches;
+        counts.reg_comm += st.produces + st.consumes;
+        counts.mem_sync += st.produce_syncs + st.consume_syncs;
+    }
+    return counts;
+}
+
 } // namespace gmt

@@ -12,6 +12,7 @@
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -101,6 +102,29 @@ MtRunResult interpretMt(const MtProgram &prog,
                         SchedulePolicy policy = SchedulePolicy::RoundRobin,
                         uint64_t seed = 0,
                         uint64_t max_steps = 500'000'000);
+
+/** Dynamic instruction counts of one MT run, summed over threads. */
+struct MtRunCounts
+{
+    uint64_t computation = 0;
+    uint64_t duplicated_branches = 0;
+    uint64_t reg_comm = 0; ///< produce + consume
+    uint64_t mem_sync = 0; ///< produce.sync + consume.sync
+};
+
+/**
+ * The equivalence oracle on one input: run @p prog on @p args and
+ * @p mem (round-robin), then check that it neither deadlocked nor left
+ * a queue non-empty and that its live-outs and final memory equal the
+ * single-threaded run's @p st_live_outs and @p st_final_mem. Dies via
+ * fatal(), naming @p what, on any failure; returns the summed counts.
+ */
+MtRunCounts runCheckedMt(const MtProgram &prog,
+                         const std::vector<int64_t> &args,
+                         MemoryImage mem,
+                         const std::vector<int64_t> &st_live_outs,
+                         const MemoryImage &st_final_mem,
+                         const std::string &what);
 
 } // namespace gmt
 

@@ -102,13 +102,15 @@ class CellGenerator
     Reg
     emitAddress(AliasClass alias)
     {
-        Reg v = builder_.abs(randomPool());
+        // rem before abs: |v % n| < n for every v, while abs(INT64_MIN)
+        // wraps and INT64_MIN % n is negative.
+        Reg v = randomPool();
         if (alias == kAliasAny) {
             Reg cells = builder_.constI(totalCells(opts_));
-            return builder_.rem(v, cells);
+            return builder_.abs(builder_.rem(v, cells));
         }
         Reg region = builder_.constI(opts_.class_cells);
-        Reg off = builder_.rem(v, region);
+        Reg off = builder_.abs(builder_.rem(v, region));
         return builder_.addImm(off, (alias - 1) * opts_.class_cells);
     }
 

@@ -81,6 +81,25 @@ TEST(Generate, PipelineRunsCleanOnSampleSeeds)
     }
 }
 
+TEST(Generate, AddressesStayInBoundsAtLargerSettings)
+{
+    // These seeds drew INT64_MIN into an address computation. When the
+    // generator took abs before rem, that wrapped and produced
+    // address -128, so the profile run faulted.
+    GenOptions gen;
+    gen.max_depth = 4;
+    gen.max_stmts = 10;
+    gen.pool_regs = 12;
+    for (uint64_t seed : {7ull, 57ull}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Workload w = generateWorkload(seed, gen);
+        PipelineOptions opts;
+        opts.scheduler = Scheduler::Gremio;
+        opts.simulate = false;
+        EXPECT_NO_THROW(runPipeline(w, opts));
+    }
+}
+
 TEST(Reduce, ShrinksWhilePreservingPredicate)
 {
     // Artificial "failure": the cell still contains a store to alias

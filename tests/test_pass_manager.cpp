@@ -225,6 +225,25 @@ TEST(ArtifactCache, KeysChangeExactlyWithTheirOptionPrefix)
         EXPECT_EQ(mtcgKey(ca), mtcgKey(cb));
         EXPECT_NE(queueAllocKey(ca), queueAllocKey(cb));
     }
+    // Recording provenance keys the partition and everything below
+    // it apart (those artifacts carry the decision records); with it
+    // off, every key is the plain one.
+    {
+        PipelineOptions b = a;
+        b.record_provenance = true;
+        PipelineContext cb(w, b);
+        EXPECT_EQ(pdgKey(ca), pdgKey(cb));
+        EXPECT_NE(partitionKey(ca), partitionKey(cb));
+        EXPECT_NE(planKey(ca), planKey(cb));
+        EXPECT_NE(queueAllocKey(ca), queueAllocKey(cb));
+        b.record_provenance = false;
+        PipelineContext cc(w, b);
+        EXPECT_EQ(partitionKey(ca), partitionKey(cc));
+        EXPECT_EQ(planKey(ca), planKey(cc));
+        EXPECT_EQ(queueAllocKey(ca), queueAllocKey(cc));
+        EXPECT_EQ(partitionKey(ca),
+                  "partition|" + w.cacheKey() + "|DSWP|nt=2|train");
+    }
     // Different workload shares nothing.
     {
         Workload v = makeKs();

@@ -13,6 +13,9 @@
  *    attributed stall cycles and resolves every StallReport entry to
  *    at least one provenance record.
  *  - Self-diff: diffSchedules of a cell against itself is zero().
+ *  - Non-perturbation: recording provenance leaves the partition, the
+ *    plan, the emitted threads, the queue assignment and the result
+ *    exactly as a run without it makes them.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +27,9 @@
 
 #include "driver/experiment.hpp"
 #include "driver/pass_manager.hpp"
+#include "ir/printer.hpp"
 #include "obs/explain.hpp"
+#include "workloads/serialize.hpp"
 #include "workloads/workload.hpp"
 
 namespace gmt
@@ -365,6 +370,113 @@ TEST(ProvenanceRecord, GremioScoresNameTheChosenThread)
             if (c.chosen) {
                 EXPECT_EQ(c.score, best);
             }
+        }
+    }
+}
+
+/** What a cell's run decides and produces, provenance aside. */
+struct Outcome
+{
+    std::vector<int> assign;
+    CommPlan plan;
+    std::string threads; ///< printed thread IR + queue count
+    std::vector<int> queue_of;
+    PipelineResult result;
+    std::string moves_json; ///< autotune move log ("" when off)
+};
+
+Outcome
+outcomeOf(const Workload &w, PipelineOptions po, bool record,
+          ArtifactCache &cache)
+{
+    po.record_provenance = record;
+    PipelineContext ctx(w, po);
+    ctx.cache = &cache;
+    PassManager::standardPipeline().run(ctx);
+    EXPECT_EQ(ctx.prov != nullptr, record);
+    if (ctx.prov) {
+        // A recording run must not pick up a plain run's artifacts,
+        // which carry no records.
+        EXPECT_EQ(ctx.prov->prov.partition.thread_of,
+                  ctx.partition->partition.assign);
+        EXPECT_EQ(ctx.prov->prov.placement.placements.size(),
+                  ctx.plan->plan.placements.size());
+    }
+    Outcome o;
+    o.assign = ctx.partition->partition.assign;
+    o.plan = ctx.plan->plan;
+    o.threads = "queues ";
+    o.threads += std::to_string(ctx.prog->prog.num_queues);
+    for (const Function &tf : ctx.prog->prog.threads) {
+        o.threads += '\n';
+        o.threads += functionToString(tf);
+    }
+    o.queue_of = ctx.prog->queue_of;
+    o.result = ctx.result;
+    if (ctx.autotune)
+        o.moves_json = ctx.autotune->moves_json;
+    return o;
+}
+
+/** Run @p w under @p po with provenance off and then on, sharing one
+ *  cache; expect equal outcomes. */
+void
+expectUnperturbed(const Workload &w, const PipelineOptions &po)
+{
+    const std::string cell = w.name + "/" + schedulerName(po.scheduler) +
+                             (po.use_coco ? "+COCO" : "") +
+                             (po.autotune ? "+AT" : "");
+    ArtifactCache cache;
+    Outcome off = outcomeOf(w, po, false, cache);
+    Outcome on = outcomeOf(w, po, true, cache);
+    EXPECT_EQ(on.assign, off.assign) << cell;
+    EXPECT_TRUE(on.plan == off.plan) << cell;
+    EXPECT_EQ(on.threads, off.threads) << cell;
+    EXPECT_EQ(on.queue_of, off.queue_of) << cell;
+    EXPECT_TRUE(on.result == off.result) << cell;
+    EXPECT_EQ(on.moves_json, off.moves_json) << cell;
+}
+
+TEST(ProvenanceNonPerturbation, KernelMatrix)
+{
+    for (const Workload &w : allWorkloads())
+        for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio})
+            for (bool coco : {false, true}) {
+                PipelineOptions po;
+                po.scheduler = sched;
+                po.use_coco = coco;
+                expectUnperturbed(w, po);
+            }
+}
+
+TEST(ProvenanceNonPerturbation, FrozenLadderCells)
+{
+    for (const char *name : {"ladder-500.gmt", "ladder-1500.gmt",
+                             "ladder-3000.gmt", "ladder-5000.gmt"}) {
+        Workload w = loadWorkloadFile(std::string(GMT_LADDER_DIR) + "/" +
+                                      name);
+        for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio})
+            for (bool coco : {false, true}) {
+                PipelineOptions po;
+                po.scheduler = sched;
+                po.use_coco = coco;
+                po.simulate = false; // fig7's counts-only mode
+                expectUnperturbed(w, po);
+            }
+    }
+}
+
+TEST(ProvenanceNonPerturbation, AutotunedCells)
+{
+    for (const Workload &w : allWorkloads()) {
+        if (w.name != "ks" && w.name != "adpcmdec")
+            continue;
+        for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio}) {
+            PipelineOptions po;
+            po.scheduler = sched;
+            po.use_coco = true;
+            po.autotune = true;
+            expectUnperturbed(w, po);
         }
     }
 }

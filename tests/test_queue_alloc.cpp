@@ -69,6 +69,23 @@ TEST(QueueAlloc, FailsBelowPairCount)
     EXPECT_THROW(allocateQueues(plan, 3), FatalError);
 }
 
+TEST(QueueAlloc, IdentityRecordsOneQueuePerPlacement)
+{
+    CommPlan plan = makePlan(5, 2);
+    QueueProvenance prov;
+    QueueAllocation alloc = identityQueues(plan, &prov);
+    EXPECT_EQ(alloc.num_queues, 5);
+    EXPECT_EQ(prov.max_queues, 0);
+    EXPECT_EQ(prov.num_queues, 5);
+    ASSERT_EQ(prov.queues.size(), 5u);
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_EQ(alloc.queue_of[i], i);
+        EXPECT_EQ(prov.queues[i].queue, i);
+        EXPECT_EQ(prov.queues[i].rule, "identity");
+        EXPECT_EQ(prov.queues[i].placements, std::vector<int>{i});
+    }
+}
+
 TEST(QueueAlloc, EmptyPlan)
 {
     CommPlan plan;
@@ -104,9 +121,13 @@ TEST_P(QueueAllocProperty, EquivalentUnderTinyBudgets)
 
         MtcgOptions opts;
         opts.queue_capacity = 1; // worst case for backpressure
-        opts.max_queues = max_queues;
         MtProgram prog = runMtcg(f, pdg, p, plan, cd, opts);
+        remapQueues(prog, allocateQueues(plan, max_queues));
         EXPECT_LE(prog.num_queues, max_queues);
+        for (const Function &tf : prog.threads)
+            EXPECT_TRUE(
+                verifyFunction(tf, {.num_queues = prog.num_queues})
+                    .empty());
 
         for (uint64_t seed = 0; seed < 3; ++seed) {
             auto out = checkEquivalence(

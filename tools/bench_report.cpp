@@ -2,9 +2,9 @@
  * @file
  * bench_report: merge the per-bench BENCH_*.json records (flat
  * one-line JSON objects written by bench/micro_*) into one trend
- * table — wall-clock columns, the identical/fixpoint contract flags,
- * and the min-cut warm-start hit rate — so a CI run uploads a single
- * artifact that is diffable across commits.
+ * table — the identical/fixpoint/converged contract flags and the
+ * min-cut warm-start hit rate, with every raw field kept — so a CI
+ * run uploads a single artifact that is diffable across commits.
  *
  *   bench_report [--out FILE] BENCH_sim.json BENCH_mincut.json ...
  *
@@ -211,18 +211,9 @@ struct BenchRow
     std::string file;
     std::string bench;
     int ok = -1; ///< identical/fixpoint flag; -1 = not reported
-    double wall_ms = 0.0;
     double hit_rate = -1.0; ///< warm-start hit %; -1 = n/a
     FlatObject raw;
 };
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
-}
 
 BenchRow
 summarize(const std::string &file, FlatObject obj)
@@ -236,12 +227,6 @@ summarize(const std::string &file, FlatObject obj)
         if (const FlatValue *v = obj.find(flag))
             if (v->kind == FlatValue::Kind::Bool)
                 row.ok = v->b ? 1 : 0;
-    // Wall clock: the sum of every millisecond field is the bench's
-    // cost ("..._ms", plus mincut's per-algorithm "..._ms_ek" style).
-    for (const auto &[k, v] : obj.fields)
-        if (v.kind == FlatValue::Kind::Number &&
-            (endsWith(k, "_ms") || k.find("_ms_") != std::string::npos))
-            row.wall_ms += v.num;
     // Warm-started max-flow hit rate, for the benches that report it.
     const FlatValue *h = obj.find("coco_warm_starts");
     const FlatValue *m = obj.find("coco_cold_rebuilds");
@@ -262,7 +247,7 @@ writeMerged(std::ostream &os, const std::vector<BenchRow> &rows)
         os << "{\"file\":\"" << jsonEscape(r.file) << "\",\"bench\":\""
            << jsonEscape(r.bench) << "\",\"ok\":"
            << (r.ok < 0 ? "null" : (r.ok ? "true" : "false"))
-           << ",\"wall_ms\":" << r.wall_ms << ",\"hit_rate\":";
+           << ",\"hit_rate\":";
         if (r.hit_rate < 0)
             os << "null";
         else
@@ -343,16 +328,15 @@ main(int argc, char **argv)
         rows.push_back(std::move(row));
     }
 
-    std::printf("%-24s %-8s %-5s %12s %9s\n", "file", "bench", "ok",
-                "wall_ms", "hit_rate");
+    std::printf("%-24s %-8s %-5s %9s\n", "file", "bench", "ok",
+                "hit_rate");
     for (const BenchRow &r : rows) {
         char hit[16] = "-";
         if (r.hit_rate >= 0)
             std::snprintf(hit, sizeof(hit), "%.1f%%", r.hit_rate);
-        std::printf("%-24s %-8s %-5s %12.1f %9s\n", r.file.c_str(),
+        std::printf("%-24s %-8s %-5s %9s\n", r.file.c_str(),
                     r.bench.c_str(),
-                    r.ok < 0 ? "-" : (r.ok ? "yes" : "NO"), r.wall_ms,
-                    hit);
+                    r.ok < 0 ? "-" : (r.ok ? "yes" : "NO"), hit);
     }
 
     if (!out_path.empty()) {
