@@ -79,9 +79,9 @@ main()
     MemoryImage mem;
     auto run = interpret(f, {10}, mem);
     auto profile = EdgeProfile::fromRun(f, run.profile);
-    Pdg pdg = buildPdg(f);
     auto pdom = DominatorTree::postDominators(f);
     ControlDependence cd(f, pdom);
+    Pdg pdg = buildPdg(f, cd);
 
     std::cout << "\nEdge profile: loop 1 body runs "
               << profile.blockWeight(l1) << "x, the point after it "

@@ -81,9 +81,9 @@ main()
     auto profile = EdgeProfile::fromRun(f, st.profile);
 
     // 3. PDG -> DSWP partition.
-    Pdg pdg = buildPdg(f);
     auto pdom = DominatorTree::postDominators(f);
     ControlDependence cd(f, pdom);
+    Pdg pdg = buildPdg(f, cd);
     ThreadPartition partition =
         dswpPartition(pdg, profile, {.num_threads = 2});
 

@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "support/bit_vector.hpp"
+#include "graph/scc.hpp"
 
 namespace gmt
 {
@@ -15,24 +15,39 @@ mayAlias(AliasClass a, AliasClass b)
     return a == b || a == kAliasAny || b == kAliasAny;
 }
 
+BlockReachability::BlockReachability(const Function &f)
+{
+    const int nb = f.numBlocks();
+    Digraph cfg(nb);
+    for (BlockId b = 0; b < nb; ++b)
+        for (BlockId s : f.block(b).succs())
+            cfg.addEdge(b, s);
+    SccResult sccs = computeSccs(cfg);
+    scc_of_ = std::move(sccs.component);
+
+    // Condensation edges run from lower to higher component numbers,
+    // so walking components downward sees every successor's set
+    // complete. Each edge b -> s adds s, and s's set when s lies in
+    // another component; the edges inside a cyclic component add all
+    // its members (a self loop adds its block).
+    const int nc = sccs.numComponents();
+    reach_.assign(nc, BitVector(nb));
+    for (int c = nc - 1; c >= 0; --c) {
+        for (BlockId b : sccs.members[c]) {
+            for (BlockId s : f.block(b).succs()) {
+                reach_[c].set(s);
+                if (scc_of_[s] != c)
+                    reach_[c].unionWith(reach_[scc_of_[s]]);
+            }
+        }
+    }
+}
+
 std::vector<MemDep>
 computeMemDeps(const Function &f)
 {
-    // Block-level reachability closure (may pass through cycles).
     const int nb = f.numBlocks();
-    std::vector<BitVector> reach(nb, BitVector(nb));
-    for (BlockId b = 0; b < nb; ++b) {
-        for (BlockId s : f.block(b).succs())
-            reach[b].set(s);
-    }
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (BlockId b = 0; b < nb; ++b) {
-            for (BlockId s : f.block(b).succs())
-                changed |= reach[b].unionWith(reach[s]);
-        }
-    }
+    BlockReachability reach(f);
 
     // Collect memory instructions with their block positions.
     struct MemAccess
@@ -60,7 +75,7 @@ computeMemDeps(const Function &f)
             return true;
         // Any path from i's block to j's block (possibly around a
         // cycle re-entering the same block).
-        return reach[i.block].test(j.block);
+        return reach.reaches(i.block, j.block);
     };
 
     // Bucket accesses by alias class so the pair scan only visits

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ir/function.hpp"
+#include "support/bit_vector.hpp"
 
 namespace gmt
 {
@@ -31,11 +32,35 @@ struct MemDep
     MemDepKind kind = MemDepKind::Flow;
 };
 
+/**
+ * Block-level reachability over CFG paths of one or more edges: @p a
+ * reaches @p b iff a path a -> ... -> b exists, so a block reaches
+ * itself exactly when it lies on a cycle. Built in one
+ * reverse-topological pass over the SCC condensation; the blocks of
+ * one SCC share one reach set.
+ */
+class BlockReachability
+{
+  public:
+    explicit BlockReachability(const Function &f);
+
+    bool
+    reaches(BlockId a, BlockId b) const
+    {
+        return reach_[scc_of_[a]].test(b);
+    }
+
+  private:
+    std::vector<int> scc_of_;
+    std::vector<BitVector> reach_; ///< per SCC
+};
+
 /** True if accesses with classes @p a and @p b may alias. */
 bool mayAlias(AliasClass a, AliasClass b);
 
 /**
- * Compute all memory dependence arcs of @p f.
+ * Compute all memory dependence arcs of @p f. Each (src, dst) pair
+ * appears at most once, grouped by src in block order.
  *
  * Conservative in time (quadratic in memory instructions) but the
  * regions the scheduler handles are single functions.

@@ -8,6 +8,7 @@
  * live-in parameters and live-out registers.
  */
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,34 @@ struct ProgramPoint
 
     bool operator==(const ProgramPoint &) const = default;
     auto operator<=>(const ProgramPoint &) const = default;
+};
+
+/**
+ * The registers one instruction reads, without heap storage: its
+ * source operands (at most two), or for Ret the function's live-outs
+ * (Ret has no source operands). Iterators are plain pointers into the
+ * view itself or into the Function's live-out list, so iterate the
+ * view while both are alive, as a range-for over usesOf() does.
+ */
+class RegUses
+{
+  public:
+    RegUses(Reg s1, Reg s2, int n) : srcs_{s1, s2}, size_(n) {}
+    explicit RegUses(const std::vector<Reg> &live_outs)
+        : outs_(live_outs.data()), size_(live_outs.size())
+    {
+    }
+
+    const Reg *begin() const { return outs_ ? outs_ : srcs_; }
+    const Reg *end() const { return begin() + size_; }
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Reg operator[](size_t k) const { return begin()[k]; }
+
+  private:
+    Reg srcs_[2] = {kNoReg, kNoReg};
+    const Reg *outs_ = nullptr;
+    size_t size_;
 };
 
 /**
@@ -128,9 +157,10 @@ class Function
 
     /**
      * Registers read by instruction @p i, including the live-out set
-     * for Ret (live-outs are "used" by leaving the region).
+     * for Ret (live-outs are "used" by leaving the region). A repeated
+     * register (src1 == src2) is listed twice.
      */
-    std::vector<Reg> usesOf(InstrId i) const;
+    RegUses usesOf(InstrId i) const;
 
     /** True if @p r is among usesOf(@p i), without building the list. */
     bool usesReg(InstrId i, Reg r) const;

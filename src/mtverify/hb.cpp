@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "analysis/mem_dep.hpp"
 #include "support/bit_vector.hpp"
 
 namespace gmt
@@ -269,16 +268,18 @@ checkHappensBefore(const Function &orig, const Pdg &pdg,
         return stats; // mask width; far beyond any real partition
 
     // The obligation set: cross-thread memory PDG arcs, unioned with
-    // the conflicting pairs re-derived from alias classes so a
-    // corrupted PDG cannot shrink what we must prove.
+    // the conflicting pairs of the PDG's MemDep list. That list is
+    // held apart from the arcs, so a corrupted arc list cannot shrink
+    // what we must prove.
     std::set<std::pair<InstrId, InstrId>> pair_set;
-    for (const PdgArc *arc : pdg.memArcs()) {
-        if (partition.threadOf(arc->src) == partition.threadOf(arc->dst))
+    for (const PdgArc &arc : pdg.arcs()) {
+        if (arc.kind != DepKind::Memory ||
+            partition.threadOf(arc.src) == partition.threadOf(arc.dst))
             continue;
         ++stats.arcs_checked;
-        pair_set.insert({arc->src, arc->dst});
+        pair_set.insert({arc.src, arc.dst});
     }
-    for (const MemDep &dep : computeMemDeps(orig))
+    for (const MemDep &dep : pdg.memDeps())
         if (partition.threadOf(dep.src) != partition.threadOf(dep.dst))
             pair_set.insert({dep.src, dep.dst});
 

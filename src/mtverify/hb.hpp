@@ -30,9 +30,10 @@
  *    one block's chains in a single step.
  *
  * Checked pairs are the cross-thread memory PDG arcs plus every
- * conflicting memory-operation pair re-derived from computeMemDeps
- * alias classes (so a corrupted PDG cannot silently shrink the
- * obligation set). An unordered pair is a data race; if
+ * conflicting memory-operation pair of the Pdg's MemDep list, which
+ * buildPdg computes once per function and keeps apart from the arcs
+ * (so a corrupted arc list cannot silently shrink the obligation
+ * set). An unordered pair is a data race; if
  * synchronization between the two threads exists but misses a path,
  * the sharper sync-on-wrong-path code fires instead. A memory-sync
  * placement between two threads with no conflicting pair at all is

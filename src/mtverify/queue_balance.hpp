@@ -11,7 +11,11 @@
  * over the original CFG computing, per queue, the net in-flight token
  * count at each block boundary; any merge of unequal counts (a path
  * divergence) or a nonzero count at the exit is a balance violation
- * that would leave the synchronization array wedged or leaking.
+ * that would leave the synchronization array wedged or leaking. One
+ * sparse worklist pass computes the counts of all queues at once,
+ * holding per block only the queues with a nonzero count; a queue it
+ * finds broken is walked again alone, so its findings name the block
+ * the per-queue walk reaches first.
  *
  * This works on the emitted code alone — it does not trust the
  * communication plan — so it catches emission bugs the fidelity walk

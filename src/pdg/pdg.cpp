@@ -12,33 +12,21 @@ Pdg::Pdg(const Function &f) : func_(&f)
 }
 
 void
-Pdg::addArc(PdgArc arc)
+Pdg::appendArc(const PdgArc &arc)
 {
     GMT_ASSERT(arc.src != kNoInstr && arc.dst != kNoInstr);
-    // A duplicate is in both lists; scan the shorter one (a branch's
-    // control arcs make its from_ list long, its targets' to_ short).
-    const auto &out = from_[arc.src];
-    const auto &in = to_[arc.dst];
-    for (int a : out.size() <= in.size() ? out : in) {
+#ifndef NDEBUG
+    for (int a : from_[arc.src]) {
         const PdgArc &e = arcs_[a];
-        if (e.src == arc.src && e.dst == arc.dst && e.kind == arc.kind &&
-            e.reg == arc.reg)
-            return; // duplicate
+        GMT_ASSERT(!(e.dst == arc.dst && e.kind == arc.kind &&
+                     e.reg == arc.reg),
+                   "duplicate PDG arc ", arc.src, " -> ", arc.dst);
     }
+#endif
     int id = static_cast<int>(arcs_.size());
     arcs_.push_back(arc);
     from_[arc.src].push_back(id);
     to_[arc.dst].push_back(id);
-}
-
-std::vector<const PdgArc *>
-Pdg::memArcs() const
-{
-    std::vector<const PdgArc *> mem;
-    for (const PdgArc &arc : arcs_)
-        if (arc.kind == DepKind::Memory)
-            mem.push_back(&arc);
-    return mem;
 }
 
 Digraph

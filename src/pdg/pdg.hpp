@@ -11,6 +11,7 @@
  * inter-thread arcs (paper Property 1).
  */
 
+#include <utility>
 #include <vector>
 
 #include "analysis/mem_dep.hpp"
@@ -53,12 +54,22 @@ class Pdg
     const std::vector<int> &arcsFrom(InstrId i) const { return from_[i]; }
     const std::vector<int> &arcsTo(InstrId i) const { return to_[i]; }
 
-    /** Add an arc (deduplicated on (src, dst, kind, reg)). */
-    void addArc(PdgArc arc);
+    /**
+     * Append an arc. The caller guarantees that no arc with the same
+     * (src, dst, kind, reg) is present; Debug builds assert it.
+     */
+    void appendArc(const PdgArc &arc);
 
-    /** The memory arcs, in arc order (the happens-before engine and
-     *  COCO's per-pair enumeration both iterate exactly these). */
-    std::vector<const PdgArc *> memArcs() const;
+    /** Pre-size the arc list for @p n arcs in total. */
+    void reserveArcs(int n) { arcs_.reserve(n); }
+
+    /**
+     * The function's memory dependences as computeMemDeps derived
+     * them. Kept apart from the arc list, so the happens-before
+     * engine's obligations do not shrink when the arcs are corrupted.
+     */
+    const std::vector<MemDep> &memDeps() const { return mem_deps_; }
+    void setMemDeps(std::vector<MemDep> deps) { mem_deps_ = std::move(deps); }
 
     /**
      * View as a plain digraph over InstrIds (for SCC/condensation in
@@ -70,6 +81,7 @@ class Pdg
     const Function *func_;
     std::vector<PdgArc> arcs_;
     std::vector<std::vector<int>> from_, to_;
+    std::vector<MemDep> mem_deps_;
 };
 
 } // namespace gmt

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "analysis/control_dep.hpp"
-#include "analysis/dominators.hpp"
 #include "analysis/mem_dep.hpp"
 #include "support/bit_vector.hpp"
 #include "support/error.hpp"
@@ -75,16 +74,23 @@ addRegisterArcs(const Function &f, Pdg &pdg)
         }
     }
 
-    // Attach def -> use arcs by walking each block.
+    // Attach def -> use arcs by walking each block. A register an
+    // instruction reads twice (src1 == src2, or repeated among Ret's
+    // live-outs) gets its arcs once: the stamp marks the registers
+    // this instruction has already been given arcs for.
+    std::vector<InstrId> stamp(f.numRegs(), kNoInstr);
     for (BlockId b = 0; b < nb; ++b) {
         BitVector reaching = in[b];
         for (InstrId i : f.block(b).instrs()) {
             for (Reg use : f.usesOf(i)) {
+                if (stamp[use] == i)
+                    continue;
+                stamp[use] = i;
                 // The reaching defs of `use`, ascending by site.
                 for (int s : sites_of_reg[use]) {
                     if (reaching.test(s))
-                        pdg.addArc({def_sites[s], i, DepKind::Register,
-                                    use, MemDepKind::Flow});
+                        pdg.appendArc({def_sites[s], i, DepKind::Register,
+                                       use, MemDepKind::Flow});
                 }
             }
             Reg def = f.defOf(i);
@@ -97,20 +103,25 @@ addRegisterArcs(const Function &f, Pdg &pdg)
     }
 }
 
-void
-addMemoryArcs(const Function &f, Pdg &pdg)
+/** Number of control arcs addControlArcs appends. */
+int
+countControlArcs(const Function &f, const ControlDependence &cd)
 {
-    for (const MemDep &dep : computeMemDeps(f)) {
-        pdg.addArc({dep.src, dep.dst, DepKind::Memory, kNoReg,
-                    dep.kind});
+    int n = 0;
+    for (BlockId a = 0; a < f.numBlocks(); ++a) {
+        if (f.block(a).succs().size() < 2)
+            continue;
+        for (BlockId c : cd.controlledBy(a))
+            n += static_cast<int>(f.block(c).size()) - (c == a ? 1 : 0);
     }
+    return n;
 }
 
+/** Branch -> every instruction of each block it controls.
+ *  controlledBy lists each block once, so no pair repeats. */
 void
-addControlArcs(const Function &f, Pdg &pdg)
+addControlArcs(const Function &f, const ControlDependence &cd, Pdg &pdg)
 {
-    auto pdom = DominatorTree::postDominators(f);
-    ControlDependence cd(f, pdom);
     for (BlockId a = 0; a < f.numBlocks(); ++a) {
         const BasicBlock &bb = f.block(a);
         if (bb.succs().size() < 2)
@@ -120,8 +131,8 @@ addControlArcs(const Function &f, Pdg &pdg)
         for (BlockId c : cd.controlledBy(a)) {
             for (InstrId i : f.block(c).instrs()) {
                 if (i != branch) {
-                    pdg.addArc({branch, i, DepKind::Control, kNoReg,
-                                MemDepKind::Flow});
+                    pdg.appendArc({branch, i, DepKind::Control, kNoReg,
+                                   MemDepKind::Flow});
                 }
             }
         }
@@ -131,12 +142,24 @@ addControlArcs(const Function &f, Pdg &pdg)
 } // namespace
 
 Pdg
-buildPdg(const Function &f)
+buildPdg(const Function &f, const ControlDependence &cd)
 {
     Pdg pdg(f);
     addRegisterArcs(f, pdg);
-    addMemoryArcs(f, pdg);
-    addControlArcs(f, pdg);
+
+    // computeMemDeps emits each (src, dst) pair once, so its list
+    // becomes the memory arcs as is. The list itself stays on the Pdg
+    // for the happens-before engine.
+    std::vector<MemDep> deps = computeMemDeps(f);
+    deps.shrink_to_fit();
+    pdg.reserveArcs(pdg.numArcs() + static_cast<int>(deps.size()) +
+                    countControlArcs(f, cd));
+    for (const MemDep &dep : deps)
+        pdg.appendArc({dep.src, dep.dst, DepKind::Memory, kNoReg,
+                       dep.kind});
+    pdg.setMemDeps(std::move(deps));
+
+    addControlArcs(f, cd, pdg);
     return pdg;
 }
 

@@ -13,13 +13,17 @@
  * by MTCG/COCO rather than materialized as PDG arcs.
  */
 
+#include "analysis/control_dep.hpp"
 #include "pdg/pdg.hpp"
 
 namespace gmt
 {
 
-/** Build the full PDG of @p f. */
-Pdg buildPdg(const Function &f);
+/**
+ * Build the full PDG of @p f, taking control arcs from @p cd (the
+ * control dependence of @p f's post-dominator tree).
+ */
+Pdg buildPdg(const Function &f, const ControlDependence &cd);
 
 } // namespace gmt
 

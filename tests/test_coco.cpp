@@ -45,9 +45,9 @@ prepare(Function fin, const std::vector<int64_t> &train_args,
     mem.alloc(mem_cells);
     auto run = interpret(f, train_args, mem);
     auto profile = EdgeProfile::fromRun(f, run.profile);
-    auto pdg = std::make_unique<Pdg>(buildPdg(f));
     auto pdom = DominatorTree::postDominators(f);
     auto cd = std::make_unique<ControlDependence>(f, pdom);
+    auto pdg = std::make_unique<Pdg>(buildPdg(f, *cd));
     Function &fr = *func;
     Pdg &pr = *pdg;
     return {std::move(func), std::move(pdg), std::move(cd),
@@ -249,9 +249,9 @@ TEST(CocoFigure5, PenaltiesAvoidMakingBranchRelevant)
     prof_data.edge_counts[fig.b6][0] = 8;
     auto profile = EdgeProfile::fromRun(fig.f, prof_data);
 
-    Pdg pdg = buildPdg(fig.f);
     auto pdom = DominatorTree::postDominators(fig.f);
     ControlDependence cd(fig.f, pdom);
+    Pdg pdg = buildPdg(fig.f, cd);
 
     // T_s owns everything up to and including B6; T_t owns B7.
     ThreadPartition partition;

@@ -344,10 +344,10 @@ TEST(CoverageCorner, KillAtGoalReachesIt)
 {
     Corners c;
     Pdg pdg(c.f);
-    pdg.addArc({.src = c.a, .dst = c.u, .reg = c.r}); // 0: no kill
-    pdg.addArc({.src = c.d, .dst = c.k, .reg = c.r}); // 1: kill at k
+    pdg.appendArc({.src = c.a, .dst = c.u, .reg = c.r}); // 0: no kill
+    pdg.appendArc({.src = c.d, .dst = c.k, .reg = c.r}); // 1: kill at k
     // 2: a's r reaches k only through d, which redefines r first.
-    pdg.addArc({.src = c.a, .dst = c.k, .reg = c.r});
+    pdg.appendArc({.src = c.a, .dst = c.k, .reg = c.r});
     EXPECT_EQ(c.uncovered(pdg, {}), (std::vector<int>{0, 1}));
 }
 
@@ -357,7 +357,7 @@ TEST(CoverageCorner, BarrierAtGoalCovers)
 {
     Corners c;
     Pdg pdg(c.f);
-    pdg.addArc({.src = c.d, .dst = c.k, .reg = c.r});
+    pdg.appendArc({.src = c.d, .dst = c.k, .reg = c.r});
     EXPECT_EQ(c.uncovered(pdg, {.placements = {c.reg({{c.exit, 0}})}}),
               std::vector<int>{});
     EXPECT_EQ(c.uncovered(pdg, {.placements = {c.reg({{c.exit, 1}})}}),
@@ -370,7 +370,7 @@ TEST(CoverageCorner, LoopReentersSourceBlock)
 {
     Corners c;
     Pdg pdg(c.f);
-    pdg.addArc({.src = c.d, .dst = c.u, .reg = c.r});
+    pdg.appendArc({.src = c.d, .dst = c.u, .reg = c.r});
     EXPECT_EQ(c.uncovered(pdg, {}), std::vector<int>{0});
     // Cut at the goal, or right after the source: covered.
     EXPECT_EQ(c.uncovered(pdg, {.placements = {c.reg({{c.loop, 0}})}}),
@@ -400,7 +400,7 @@ TEST(CoverageCorner, DestinationBeforeSourceWithoutLoop)
     part.assign.assign(f.numInstrs(), 0);
     part.assign[use] = 1;
     Pdg pdg(f);
-    pdg.addArc({.src = def, .dst = use, .reg = r});
+    pdg.appendArc({.src = def, .dst = use, .reg = r});
     EXPECT_EQ(uncoveredArcs(f, pdg, part, {}), std::vector<int>{});
     EXPECT_EQ(referenceUncovered(f, pdg, part, {}), std::vector<int>{});
 }
@@ -411,8 +411,8 @@ TEST(CoverageCorner, InvalidPlanPointsAreIgnored)
 {
     Corners c;
     Pdg pdg(c.f);
-    pdg.addArc({.src = c.d, .dst = c.k, .reg = c.r});
-    pdg.addArc({.src = c.d, .dst = c.u, .reg = c.r});
+    pdg.appendArc({.src = c.d, .dst = c.k, .reg = c.r});
+    pdg.appendArc({.src = c.d, .dst = c.u, .reg = c.r});
     std::vector<ProgramPoint> junk{
         {99, 0}, {-1, 0}, {c.loop, 999}, {c.loop, -1}, {c.exit, 2}};
     EXPECT_EQ(c.uncovered(pdg, {.placements = {c.reg(junk)}}),
@@ -429,8 +429,8 @@ TEST(CoverageCorner, BarrierKeyMustMatch)
 {
     Corners c;
     Pdg pdg(c.f);
-    pdg.addArc({.src = c.d, .dst = c.k, .reg = c.r});
-    pdg.addArc({.src = c.d, .dst = c.k, .kind = DepKind::Memory});
+    pdg.appendArc({.src = c.d, .dst = c.k, .reg = c.r});
+    pdg.appendArc({.src = c.d, .dst = c.k, .kind = DepKind::Memory});
     ProgramPoint goal{c.exit, 0};
     CommPlacement other_reg = c.reg({goal});
     other_reg.reg = c.r + 1;

@@ -10,6 +10,7 @@
 #include "coco/flow_graph.hpp"
 #include "coco/relevant.hpp"
 #include "driver/pass_manager.hpp"
+#include "ir/builder.hpp"
 #include "support/rng.hpp"
 #include "workloads/generate.hpp"
 #include "workloads/serialize.hpp"
@@ -30,7 +31,7 @@ namespace
 bool
 referenceUses(const Function &f, InstrId i, Reg r)
 {
-    std::vector<Reg> uses = f.usesOf(i);
+    RegUses uses = f.usesOf(i);
     return std::find(uses.begin(), uses.end(), r) != uses.end();
 }
 
@@ -212,14 +213,15 @@ expectSameGraph(const FlowGraph &got, const FlowGraph &want,
 
 // ---------------------------------------------------------------------
 // Reference PDG: the arc list as built before the per-register site
-// lists and the shorter-list duplicate scan, and its digraph through
-// Digraph::addEdge.
+// lists and the append-only builder, with every arc deduplicated on
+// (src, dst, kind, reg) by a scan of its source's list, and its digraph
+// through Digraph::addEdge.
 // ---------------------------------------------------------------------
 
 struct ReferencePdg
 {
     std::vector<PdgArc> arcs;
-    std::vector<std::vector<int>> from;
+    std::vector<std::vector<int>> from, to;
 
     void
     add(PdgArc arc)
@@ -230,6 +232,7 @@ struct ReferencePdg
                 return;
         }
         from[arc.src].push_back(static_cast<int>(arcs.size()));
+        to[arc.dst].push_back(static_cast<int>(arcs.size()));
         arcs.push_back(arc);
     }
 };
@@ -239,6 +242,7 @@ referencePdg(const Function &f)
 {
     ReferencePdg pdg;
     pdg.from.resize(f.numInstrs());
+    pdg.to.resize(f.numInstrs());
 
     // Register arcs: reaching definitions, every reaching def tested
     // against each use.
@@ -335,6 +339,19 @@ expectSamePdg(const Function &f, const Pdg &pdg, const std::string &what)
                            want.mem_kind))
             << what << " arc " << a;
     }
+    for (InstrId i = 0; i < f.numInstrs(); ++i) {
+        ASSERT_EQ(pdg.arcsFrom(i), ref.from[i]) << what << " i" << i;
+        ASSERT_EQ(pdg.arcsTo(i), ref.to[i]) << what << " i" << i;
+    }
+
+    // The MemDep list the Pdg keeps is computeMemDeps' list, in order.
+    std::vector<MemDep> deps = computeMemDeps(f);
+    ASSERT_EQ(pdg.memDeps().size(), deps.size()) << what;
+    for (size_t k = 0; k < deps.size(); ++k)
+        ASSERT_EQ(std::tie(pdg.memDeps()[k].src, pdg.memDeps()[k].dst,
+                           pdg.memDeps()[k].kind),
+                  std::tie(deps[k].src, deps[k].dst, deps[k].kind))
+            << what << " mem dep " << k;
 
     Digraph want(f.numInstrs());
     for (const PdgArc &arc : ref.arcs)
@@ -346,6 +363,32 @@ expectSamePdg(const Function &f, const Pdg &pdg, const std::string &what)
         ASSERT_EQ(got.succs(u), want.succs(u)) << what << " node " << u;
         ASSERT_EQ(got.preds(u), want.preds(u)) << what << " node " << u;
     }
+}
+
+/**
+ * Block reachability as computed before the SCC condensation: the
+ * successor sets unioned to a fixpoint. BlockReachability must agree
+ * on every ordered pair of blocks.
+ */
+void
+expectSameReach(const Function &f, const std::string &what)
+{
+    const int nb = f.numBlocks();
+    std::vector<BitVector> reach(nb, BitVector(nb));
+    for (BlockId b = 0; b < nb; ++b)
+        for (BlockId s : f.block(b).succs())
+            reach[b].set(s);
+    for (bool changed = true; changed;) {
+        changed = false;
+        for (BlockId b = 0; b < nb; ++b)
+            for (BlockId s : f.block(b).succs())
+                changed |= reach[b].unionWith(reach[s]);
+    }
+    BlockReachability got(f);
+    for (BlockId a = 0; a < nb; ++a)
+        for (BlockId b = 0; b < nb; ++b)
+            ASSERT_EQ(got.reaches(a, b), reach[a].test(b))
+                << what << " B" << a << " -> B" << b;
 }
 
 // ---------------------------------------------------------------------
@@ -463,11 +506,48 @@ checkCell(const Workload &w, uint64_t seed, int *nontrivial)
 {
     for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio}) {
         PipelineContext ctx = partitioned(w, sched);
+        expectSameReach(ctx.ir->func, ctx.cellId());
         expectSamePdg(ctx.ir->func, ctx.pdg->pdg, ctx.cellId());
         *nontrivial += checkRegisterGraphs(ctx, seed++);
         if (::testing::Test::HasFatalFailure())
             return;
     }
+}
+
+/** A block reaches itself exactly when it lies on a cycle: a self
+ *  loop and a two-block loop do, the straight-line blocks around them
+ *  do not. */
+TEST(BlockReach, SelfReachIffOnCycle)
+{
+    FunctionBuilder b("loops");
+    Reg n = b.param();
+    BlockId entry = b.newBlock("entry");
+    BlockId self = b.newBlock("self");
+    BlockId head = b.newBlock("head");
+    BlockId body = b.newBlock("body");
+    BlockId exit = b.newBlock("exit");
+    b.setBlock(entry);
+    b.jmp(self);
+    b.setBlock(self);
+    b.br(n, self, head);
+    b.setBlock(head);
+    b.br(n, body, exit);
+    b.setBlock(body);
+    b.jmp(head);
+    b.setBlock(exit);
+    b.ret({n});
+    Function f = b.finish();
+
+    BlockReachability reach(f);
+    EXPECT_FALSE(reach.reaches(entry, entry));
+    EXPECT_TRUE(reach.reaches(self, self));
+    EXPECT_TRUE(reach.reaches(head, head));
+    EXPECT_TRUE(reach.reaches(body, body));
+    EXPECT_FALSE(reach.reaches(exit, exit));
+    EXPECT_TRUE(reach.reaches(entry, exit));
+    EXPECT_TRUE(reach.reaches(body, exit));
+    EXPECT_FALSE(reach.reaches(head, self));
+    expectSameReach(f, "loops");
 }
 
 TEST(FlowGraphDiff, WorkloadMatrix)

@@ -23,9 +23,9 @@ MtProgram
 mtcgDefault(const Function &f, const ThreadPartition &partition,
             int queue_capacity = 32)
 {
-    Pdg pdg = buildPdg(f);
     auto pdom = DominatorTree::postDominators(f);
     ControlDependence cd(f, pdom);
+    Pdg pdg = buildPdg(f, cd);
     CommPlan plan = defaultMtcgPlan(f, pdg, partition, cd);
     return runMtcg(f, pdg, partition, plan, cd,
                    {.queue_capacity = queue_capacity});
@@ -271,7 +271,9 @@ TEST(MtcgEndToEnd, DswpAndGremioPartitions)
         Function &f = gen.func;
         splitCriticalEdges(f);
         verifyOrDie(f);
-        Pdg pdg = buildPdg(f);
+        auto pdom = DominatorTree::postDominators(f);
+        ControlDependence cd(f, pdom);
+        Pdg pdg = buildPdg(f, cd);
 
         MemoryImage mem;
         mem.alloc(gen.array_cells);

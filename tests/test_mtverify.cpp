@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 
 #include "analysis/control_dep.hpp"
 #include "analysis/dominators.hpp"
@@ -11,7 +15,10 @@
 #include "ir/verifier.hpp"
 #include "mtcg/mtcg.hpp"
 #include "mtverify/mtverify.hpp"
+#include "mtverify/queue_balance.hpp"
+#include "mtverify/thread_map.hpp"
 #include "pdg/pdg_builder.hpp"
+#include "support/rng.hpp"
 #include "workloads/generate.hpp"
 #include "workloads/workload.hpp"
 
@@ -19,6 +26,191 @@ namespace gmt
 {
 namespace
 {
+
+// ---------------------------------------------------------------------
+// Reference oracle for theorem 2: the per-queue balance dataflow the
+// single sparse pass replaced. One whole-CFG walk per queue, with
+// dense per-block vectors; checkQueueBalance must report exactly the
+// same diagnostics in the same order.
+// ---------------------------------------------------------------------
+
+bool
+refIsProduce(Opcode op)
+{
+    return op == Opcode::Produce || op == Opcode::ProduceSync;
+}
+
+bool
+refIsConsume(Opcode op)
+{
+    return op == Opcode::Consume || op == Opcode::ConsumeSync;
+}
+
+bool
+refIsSync(Opcode op)
+{
+    return op == Opcode::ProduceSync || op == Opcode::ConsumeSync;
+}
+
+void
+referenceQueueBalance(const Function &orig, const MtProgram &prog,
+                      const std::vector<ThreadCodeMap> &maps,
+                      std::vector<MtvDiag> &diags)
+{
+    const int nt = static_cast<int>(prog.threads.size());
+    for (int t = 0; t < nt; ++t) {
+        const Function &f = prog.threads[t];
+        for (BlockId b = 0; b < f.numBlocks(); ++b) {
+            for (InstrId i : f.block(b).instrs()) {
+                const Instr &in = f.instr(i);
+                if (in.isCommunication() &&
+                    (in.queue < 0 || in.queue >= prog.num_queues))
+                    diags.push_back(
+                        {.code = MtvCode::BadQueueId,
+                         .thread = t,
+                         .block = b,
+                         .queue = in.queue,
+                         .message =
+                             "queue id outside [0, " +
+                             std::to_string(prog.num_queues) + ")"});
+            }
+        }
+    }
+
+    std::vector<QueueEndpoints> ends = queueEndpoints(prog);
+    for (QueueId q = 0; q < prog.num_queues; ++q) {
+        if (!ends[q].conflict)
+            continue;
+        std::ostringstream msg;
+        msg << "queue has conflicting endpoints (producer T"
+            << ends[q].producer << ", consumer T" << ends[q].consumer
+            << ")";
+        diags.push_back({.code = MtvCode::QueueEndpointConflict,
+                         .queue = q,
+                         .message = msg.str()});
+    }
+
+    constexpr int kUnvisited = std::numeric_limits<int>::min();
+    constexpr int kTop = std::numeric_limits<int>::min() + 1;
+    for (QueueId q = 0; q < prog.num_queues; ++q) {
+        const QueueEndpoints &e = ends[q];
+        if (e.conflict || (e.producer == -1 && e.consumer == -1))
+            continue;
+        auto sequences = [&](int t, bool produces) {
+            std::vector<std::vector<InstrId>> seq(orig.numBlocks());
+            if (t == -1)
+                return seq;
+            const std::vector<BlockId> &image = maps[t].emitted_block;
+            for (BlockId ob = 0; ob < orig.numBlocks(); ++ob) {
+                BlockId eb = ob < static_cast<BlockId>(image.size())
+                                 ? image[ob]
+                                 : kNoBlock;
+                if (eb == kNoBlock)
+                    continue;
+                for (InstrId ei : prog.threads[t].block(eb).instrs()) {
+                    const Instr &in = prog.threads[t].instr(ei);
+                    if (in.isCommunication() && in.queue == q &&
+                        (produces ? refIsProduce(in.op)
+                                  : refIsConsume(in.op)))
+                        seq[ob].push_back(ei);
+                }
+            }
+            return seq;
+        };
+        auto prod_seq = sequences(e.producer, true);
+        auto cons_seq = sequences(e.consumer, false);
+        std::vector<int> net(orig.numBlocks(), 0);
+        for (BlockId b = 0; b < orig.numBlocks(); ++b)
+            net[b] = static_cast<int>(prod_seq[b].size()) -
+                     static_cast<int>(cons_seq[b].size());
+
+        std::vector<int> in(orig.numBlocks(), kUnvisited);
+        in[orig.entry()] = 0;
+        std::deque<BlockId> work{orig.entry()};
+        bool reported_merge = false;
+        while (!work.empty()) {
+            BlockId b = work.front();
+            work.pop_front();
+            int out = in[b] == kTop ? kTop : in[b] + net[b];
+            for (BlockId s : orig.block(b).succs()) {
+                int merged =
+                    in[s] == kUnvisited || in[s] == out ? out : kTop;
+                if (merged == kTop && !reported_merge) {
+                    reported_merge = true;
+                    diags.push_back(
+                        {.code = MtvCode::QueueImbalance,
+                         .block = s,
+                         .queue = q,
+                         .message =
+                             "in-flight token count diverges between "
+                             "paths reaching " +
+                             orig.block(s).label()});
+                }
+                if (merged != in[s]) {
+                    in[s] = merged;
+                    work.push_back(s);
+                }
+            }
+        }
+
+        BlockId ex = orig.exitBlock();
+        int at_exit = in[ex] == kTop || in[ex] == kUnvisited
+                          ? in[ex]
+                          : in[ex] + net[ex];
+        if (at_exit != 0 && at_exit != kTop && at_exit != kUnvisited) {
+            std::ostringstream msg;
+            msg << "queue ends with " << at_exit
+                << " unmatched token(s) at exit (produces vs consumes "
+                   "diverge)";
+            diags.push_back({.code = MtvCode::QueueImbalance,
+                             .block = ex,
+                             .queue = q,
+                             .message = msg.str()});
+        }
+
+        if (e.producer == -1 || e.consumer == -1)
+            continue;
+        for (BlockId b = 0; b < orig.numBlocks(); ++b) {
+            if (in[b] != 0 || prod_seq[b].size() != cons_seq[b].size())
+                continue;
+            for (size_t k = 0; k < prod_seq[b].size(); ++k) {
+                Opcode po =
+                    prog.threads[e.producer].instr(prod_seq[b][k]).op;
+                Opcode co =
+                    prog.threads[e.consumer].instr(cons_seq[b][k]).op;
+                if (refIsSync(po) == refIsSync(co))
+                    continue;
+                std::ostringstream msg;
+                msg << "token " << k << " produced as "
+                    << opcodeName(po) << " but consumed as "
+                    << opcodeName(co);
+                diags.push_back({.code = MtvCode::TokenKindMismatch,
+                                 .block = b,
+                                 .pos = static_cast<int>(k),
+                                 .queue = q,
+                                 .message = msg.str()});
+            }
+        }
+    }
+}
+
+/** checkQueueBalance against the oracle on one program; @return the
+ *  number of balance findings. */
+int
+expectBalanceMatchesOracle(const Function &orig, const MtProgram &prog,
+                           const std::string &what)
+{
+    std::vector<MtvDiag> map_diags;
+    std::vector<ThreadCodeMap> maps;
+    for (int t = 0; t < static_cast<int>(prog.threads.size()); ++t)
+        maps.push_back(
+            buildThreadCodeMap(orig, prog.threads[t], t, map_diags));
+    std::vector<MtvDiag> got, want;
+    checkQueueBalance(orig, prog, maps, got);
+    referenceQueueBalance(orig, prog, maps, want);
+    EXPECT_EQ(got, want) << what;
+    return static_cast<int>(want.size());
+}
 
 // ---------------------------------------------------------------------
 // Harness: build a full (function, pdg, partition, plan, program) cell
@@ -45,7 +237,14 @@ struct Cell
                 .prog = &prog};
     }
 
-    MtVerifyResult verify() const { return verifyMtProgram(input()); }
+    /** Verify; every call also checks the balance pass against its
+     *  oracle, so each mutation below is a differential case too. */
+    MtVerifyResult
+    verify() const
+    {
+        expectBalanceMatchesOracle(*f, prog, f->name());
+        return verifyMtProgram(input());
+    }
 };
 
 Cell
@@ -54,9 +253,9 @@ makeCell(Function fin, ThreadPartition part, int queue_capacity = 32)
     Cell c;
     c.f = std::make_unique<Function>(std::move(fin));
     verifyOrDie(*c.f);
-    c.pdg = std::make_unique<Pdg>(buildPdg(*c.f));
     auto pdom = DominatorTree::postDominators(*c.f);
     ControlDependence cd(*c.f, pdom);
+    c.pdg = std::make_unique<Pdg>(buildPdg(*c.f, cd));
     c.part = std::move(part);
     c.plan = defaultMtcgPlan(*c.f, *c.pdg, c.part, cd);
     c.prog = runMtcg(*c.f, *c.pdg, c.part, c.plan, cd,
@@ -191,7 +390,7 @@ memorySyncCell()
 /** r defined under a branch in t0, used by t1: t1 replicates the
  *  branch and consumes r at two points (one per reaching def). */
 Cell
-conditionalCell()
+conditionalCell(bool then_taken = true)
 {
     FunctionBuilder b("cond");
     Reg c = b.param();
@@ -200,7 +399,10 @@ conditionalCell()
     BlockId join = b.newBlock("join");
     b.setBlock(top);
     Reg r = b.constI(10);
-    b.br(c, then_b, join);
+    if (then_taken)
+        b.br(c, then_b, join);
+    else
+        b.br(c, join, then_b);
     b.setBlock(then_b);
     b.constInto(r, 20);
     b.jmp(join);
@@ -587,6 +789,98 @@ TEST(MtVerifyMutation, ProduceMissingOnOnePath)
     EXPECT_FALSE(res.ok());
 }
 
+/** t1's consume sunk from the then block into the join: the paths
+ *  reaching the join carry one token and none, and the join's consume
+ *  evens out only one of them. The divergent merge must be reported
+ *  whichever of top's successors the balance pass visits first. */
+TEST(MtVerifyMutation, ConsumeSunkIntoJoin)
+{
+    for (bool then_taken : {true, false}) {
+        Cell cell = conditionalCell(then_taken);
+        ASSERT_TRUE(cell.verify().diags.empty());
+        Function &t1 = cell.prog.threads[1];
+        Found cons{}, ret{};
+        for (BlockId b = 0; b < t1.numBlocks(); ++b) {
+            InstrId term = t1.block(b).terminator();
+            if (term != kNoInstr && t1.instr(term).op == Opcode::Ret)
+                ret = {b, 0, term};
+            if (term == kNoInstr || t1.instr(term).op != Opcode::Jmp)
+                continue;
+            const auto &list = t1.block(b).instrs();
+            for (int p = 0; p < static_cast<int>(list.size()); ++p)
+                if (t1.instr(list[p]).op == Opcode::Consume)
+                    cons = {b, p, list[p]};
+        }
+        ASSERT_NE(cons.id, kNoInstr);
+        ASSERT_NE(ret.id, kNoInstr);
+        eraseAt(t1, cons);
+        auto &dest = t1.block(ret.block).instrs();
+        dest.insert(dest.begin(), cons.id);
+        t1.instr(cons.id).block = ret.block;
+        auto res = cell.verify();
+        EXPECT_TRUE(hasCode(res, MtvCode::QueueImbalance))
+            << then_taken << "\n"
+            << res.render();
+    }
+}
+
+/** r's two queues merged into one, t0's then-block token made a sync
+ *  token, and t1's top-block consume of r sunk into the join: every
+ *  path stays balanced, but a token is in flight into the then block
+ *  and the join. Kinds are paired only in blocks entered with no token
+ *  in flight, so no kind finding is made. */
+TEST(MtVerifyMutation, KindPairingSkippedWhileTokenInFlight)
+{
+    Cell cell = conditionalCell();
+    Function &t1 = cell.prog.threads[1];
+    // t1's last consume in the top image (r's first value), the
+    // consume in the then image (r's second value), and the join.
+    Found sunk{}, then_cons{}, ret{};
+    for (BlockId b = 0; b < t1.numBlocks(); ++b) {
+        InstrId term = t1.block(b).terminator();
+        if (term == kNoInstr)
+            continue;
+        Opcode op = t1.instr(term).op;
+        if (op == Opcode::Ret)
+            ret = {b, 0, term};
+        const auto &list = t1.block(b).instrs();
+        for (int p = 0; p < static_cast<int>(list.size()); ++p) {
+            if (t1.instr(list[p]).op != Opcode::Consume)
+                continue;
+            if (op == Opcode::Br)
+                sunk = {b, p, list[p]};
+            else if (op == Opcode::Jmp)
+                then_cons = {b, p, list[p]};
+        }
+    }
+    ASSERT_NE(sunk.id, kNoInstr);
+    ASSERT_NE(then_cons.id, kNoInstr);
+    ASSERT_NE(ret.id, kNoInstr);
+    QueueId qa = t1.instr(sunk.id).queue;
+    QueueId qt = t1.instr(then_cons.id).queue;
+    ASSERT_NE(qa, qt);
+    for (Function &t : cell.prog.threads) {
+        for (BlockId b = 0; b < t.numBlocks(); ++b) {
+            for (InstrId i : t.block(b).instrs()) {
+                Instr &in = t.instr(i);
+                if (!in.isCommunication() || in.queue != qt)
+                    continue;
+                in.queue = qa;
+                if (in.op == Opcode::Produce)
+                    in.op = Opcode::ProduceSync;
+            }
+        }
+    }
+    eraseAt(t1, sunk);
+    auto &dest = t1.block(ret.block).instrs();
+    dest.insert(dest.begin(), sunk.id);
+    t1.instr(sunk.id).block = ret.block;
+    auto res = cell.verify();
+    EXPECT_FALSE(hasCode(res, MtvCode::QueueImbalance)) << res.render();
+    EXPECT_FALSE(hasCode(res, MtvCode::TokenKindMismatch))
+        << res.render();
+}
+
 TEST(MtVerifyMutation, OwnedInstructionNotCopied)
 {
     Cell cell = twoProducerCell();
@@ -743,7 +1037,7 @@ TEST(MtVerifyMutation, ControlArcWithoutBranchCopy)
             cell.part.threadOf(i) == 1)
             victim = i;
     ASSERT_NE(victim, kNoInstr);
-    cell.pdg->addArc(
+    cell.pdg->appendArc(
         {.src = br, .dst = victim, .kind = DepKind::Control});
     auto res = cell.verify();
     EXPECT_TRUE(hasCode(res, MtvCode::ControlUncovered))
@@ -785,6 +1079,39 @@ TEST(MtVerifyHb, DroppedSyncProduceIsDataRace)
     EXPECT_FALSE(hasCode(res, MtvCode::HbSyncWrongPath))
         << res.render();
     EXPECT_FALSE(res.ok());
+}
+
+/** The happens-before obligations come from the Pdg's MemDep list,
+ *  not from its arcs: with every memory arc stripped, the race is
+ *  still found; with the list emptied as well, nothing is left to
+ *  prove. */
+TEST(MtVerifyHb, StrippedMemoryArcsStillYieldDataRace)
+{
+    Cell cell = memorySyncCell();
+    Function &t0 = cell.prog.threads[0];
+    eraseAt(t0, findInstr(t0, [](const Instr &i) {
+                return i.op == Opcode::ProduceSync;
+            }));
+    ASSERT_TRUE(hasCode(cell.verify(), MtvCode::HbDataRace));
+
+    auto stripped = std::make_unique<Pdg>(*cell.f);
+    int mem_arcs = 0;
+    for (const PdgArc &arc : cell.pdg->arcs()) {
+        if (arc.kind == DepKind::Memory)
+            ++mem_arcs;
+        else
+            stripped->appendArc(arc);
+    }
+    ASSERT_GT(mem_arcs, 0);
+    ASSERT_FALSE(cell.pdg->memDeps().empty());
+    stripped->setMemDeps(cell.pdg->memDeps());
+    cell.pdg = std::move(stripped);
+    auto res = cell.verify();
+    EXPECT_TRUE(hasCode(res, MtvCode::HbDataRace)) << res.render();
+
+    cell.pdg->setMemDeps({});
+    res = cell.verify();
+    EXPECT_FALSE(hasCode(res, MtvCode::HbDataRace)) << res.render();
 }
 
 TEST(MtVerifyHb, ConsumeMovedPastLoadIsSyncWrongPath)
@@ -884,6 +1211,104 @@ TEST(MtVerifyHb, GeneratedCorpusRaceFree)
                 << res.render();
         }
     }
+}
+
+/** One random drop, duplicate, kind retag, queue retag or move of a
+ *  produce/consume op somewhere in @p prog. */
+void
+mutateCommOp(MtProgram &prog, Rng &rng)
+{
+    struct Site
+    {
+        int thread;
+        BlockId block;
+        int pos;
+    };
+    std::vector<Site> sites;
+    for (int t = 0; t < static_cast<int>(prog.threads.size()); ++t) {
+        const Function &f = prog.threads[t];
+        for (BlockId b = 0; b < f.numBlocks(); ++b) {
+            const auto &list = f.block(b).instrs();
+            for (int p = 0; p < static_cast<int>(list.size()); ++p)
+                if (f.instr(list[p]).isCommunication())
+                    sites.push_back({t, b, p});
+        }
+    }
+    if (sites.empty())
+        return;
+    Site at = sites[rng.nextBelow(sites.size())];
+    Function &f = prog.threads[at.thread];
+    auto &list = f.block(at.block).instrs();
+    InstrId id = list[at.pos];
+    switch (rng.nextBelow(5)) {
+      case 0: // drop
+        list.erase(list.begin() + at.pos);
+        break;
+      case 4: { // move to the top of a random block of the same thread
+        list.erase(list.begin() + at.pos);
+        BlockId to = static_cast<BlockId>(rng.nextBelow(f.numBlocks()));
+        auto &dest = f.block(to).instrs();
+        dest.insert(dest.begin(), id);
+        f.instr(id).block = to;
+        break;
+      }
+      case 1: // duplicate in place
+        f.insertAt(at.block, at.pos, f.instr(id));
+        break;
+      case 2: { // retag the token kind
+        Opcode &op = f.instr(id).op;
+        op = op == Opcode::Produce       ? Opcode::ProduceSync
+             : op == Opcode::ProduceSync ? Opcode::Produce
+             : op == Opcode::Consume     ? Opcode::ConsumeSync
+                                         : Opcode::Consume;
+        break;
+      }
+      default: // retag the queue (num_queues itself is out of range)
+        f.instr(id).queue =
+            static_cast<QueueId>(rng.nextBelow(prog.num_queues + 1));
+        break;
+    }
+}
+
+/** Randomized comm-op mutations of generated cells, with and without
+ *  queue multiplexing: the sparse balance pass must report what the
+ *  per-queue oracle reports on every mutant. */
+TEST(MtVerifyBalance, RandomCommMutationsMatchOracle)
+{
+    Rng rng(4242);
+    int mutants = 0, findings = 0;
+    for (uint64_t seed : {5u, 11u, 23u, 47u}) {
+        Workload w = generateWorkload(seed);
+        for (Scheduler sched : {Scheduler::Dswp, Scheduler::Gremio}) {
+            for (int max_queues : {0, 4}) {
+                PipelineOptions po;
+                po.scheduler = sched;
+                po.use_coco = true;
+                po.max_queues = max_queues;
+                po.simulate = false;
+                po.verify_mt = false;
+                PipelineContext ctx(w, po);
+                PassManager::codegenPipeline().run(ctx);
+                const Function &orig = ctx.ir->func;
+                const MtProgram &base = ctx.prog->prog;
+                EXPECT_EQ(expectBalanceMatchesOracle(orig, base,
+                                                     ctx.cellId()),
+                          0);
+                for (int k = 0; k < 16; ++k) {
+                    MtProgram prog = base;
+                    int edits = 1 + static_cast<int>(rng.nextBelow(2));
+                    for (int e = 0; e < edits; ++e)
+                        mutateCommOp(prog, rng);
+                    findings += expectBalanceMatchesOracle(
+                        orig, prog,
+                        ctx.cellId() + " mutant " + std::to_string(k));
+                    ++mutants;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mutants, 4 * 2 * 2 * 16);
+    EXPECT_GT(findings, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,15 @@ namespace gmt
 namespace
 {
 
+/** The PDG of @p f, with the control dependence built alongside. */
+Pdg
+pdgOf(const Function &f)
+{
+    auto pdom = DominatorTree::postDominators(f);
+    ControlDependence cd(f, pdom);
+    return buildPdg(f, cd);
+}
+
 EdgeProfile
 profileOf(const Function &f, const std::vector<int64_t> &args,
           int64_t cells)
@@ -29,7 +38,7 @@ TEST(Partition, SingleThreadAssignsEverything)
     Rng rng(1);
     auto prog = generateProgram(rng);
     auto p = singleThreadPartition(prog.func);
-    Pdg pdg = buildPdg(prog.func);
+    Pdg pdg = pdgOf(prog.func);
     EXPECT_TRUE(validatePartition(pdg, p, true).empty());
     EXPECT_EQ(countCrossThreadArcs(pdg, p), 0);
 }
@@ -51,7 +60,7 @@ TEST(Partition, ValidateCatchesBadThread)
 {
     Rng rng(3);
     auto prog = generateProgram(rng);
-    Pdg pdg = buildPdg(prog.func);
+    Pdg pdg = pdgOf(prog.func);
     ThreadPartition p;
     p.num_threads = 2;
     p.assign.assign(prog.func.numInstrs(), 0);
@@ -64,7 +73,7 @@ TEST(Dswp, ProducesValidPipeline)
     Rng rng(44);
     for (int trial = 0; trial < 25; ++trial) {
         auto prog = generateProgram(rng);
-        Pdg pdg = buildPdg(prog.func);
+        Pdg pdg = pdgOf(prog.func);
         auto profile = profileOf(prog.func, {3, -5}, prog.array_cells);
         auto p = dswpPartition(pdg, profile, {.num_threads = 2});
         auto problems = validatePartition(pdg, p, true);
@@ -77,7 +86,7 @@ TEST(Dswp, MoreThreadsStillPipeline)
 {
     Rng rng(45);
     auto prog = generateProgram(rng, {.max_depth = 4, .max_stmts = 8});
-    Pdg pdg = buildPdg(prog.func);
+    Pdg pdg = pdgOf(prog.func);
     auto profile = profileOf(prog.func, {9, 2}, prog.array_cells);
     for (int nt : {3, 4, 6}) {
         auto p = dswpPartition(pdg, profile, {.num_threads = nt});
@@ -93,7 +102,7 @@ TEST(Dswp, SplitsWorkAcrossThreads)
     int split_count = 0;
     for (int trial = 0; trial < 10; ++trial) {
         auto prog = generateProgram(rng, {.max_depth = 4});
-        Pdg pdg = buildPdg(prog.func);
+        Pdg pdg = pdgOf(prog.func);
         auto profile = profileOf(prog.func, {7, 3}, prog.array_cells);
         auto p = dswpPartition(pdg, profile, {.num_threads = 2});
         if (!p.membersOf(0).empty() && !p.membersOf(1).empty())
@@ -107,7 +116,7 @@ TEST(Gremio, ProducesValidAssignment)
     Rng rng(47);
     for (int trial = 0; trial < 25; ++trial) {
         auto prog = generateProgram(rng);
-        Pdg pdg = buildPdg(prog.func);
+        Pdg pdg = pdgOf(prog.func);
         auto profile = profileOf(prog.func, {4, 11}, prog.array_cells);
         auto p = gremioPartition(pdg, profile, {.num_threads = 2});
         ASSERT_TRUE(validatePartition(pdg, p, false).empty());
@@ -130,7 +139,7 @@ TEST(Gremio, UsesBothThreadsOnParallelWork)
     }
     b.ret({x, y});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
     MemoryImage mem;
     auto run = interpret(f, {1, 2}, mem);
     auto profile = EdgeProfile::fromRun(f, run.profile);
@@ -143,7 +152,7 @@ TEST(Gremio, RespectsSingleThreadDegenerate)
 {
     Rng rng(48);
     auto prog = generateProgram(rng);
-    Pdg pdg = buildPdg(prog.func);
+    Pdg pdg = pdgOf(prog.func);
     auto profile = profileOf(prog.func, {1, 1}, prog.array_cells);
     auto p = gremioPartition(pdg, profile, {.num_threads = 1});
     EXPECT_TRUE(validatePartition(pdg, p, true).empty());

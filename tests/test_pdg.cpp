@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "analysis/dominators.hpp"
 #include "ir/builder.hpp"
 #include "pdg/pdg_builder.hpp"
 #include "testgen.hpp"
@@ -8,6 +9,15 @@ namespace gmt
 {
 namespace
 {
+
+/** The PDG of @p f, with the control dependence built alongside. */
+Pdg
+pdgOf(const Function &f)
+{
+    auto pdom = DominatorTree::postDominators(f);
+    ControlDependence cd(f, pdom);
+    return buildPdg(f, cd);
+}
 
 bool
 hasArc(const Pdg &pdg, InstrId src, InstrId dst, DepKind kind)
@@ -30,7 +40,7 @@ TEST(Pdg, StraightLineRegisterDep)
     Reg z = b.mul(y, y);          // uses y
     b.ret({z});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
 
     // add -> mul through y, mul -> ret through z.
     InstrId add = f.block(bb).instrs()[1];
@@ -62,7 +72,7 @@ TEST(Pdg, ConditionalDefsBothReachUse)
     Reg s = b.mov(r); // use of r
     b.ret({s});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
 
     InstrId def1 = f.block(top).instrs()[0];
     InstrId def2 = f.block(then_b).instrs()[0];
@@ -81,7 +91,7 @@ TEST(Pdg, KilledDefDoesNotReach)
     Reg s = b.mov(r);      // use
     b.ret({s});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
     InstrId def1 = f.block(bb).instrs()[0];
     InstrId def2 = f.block(bb).instrs()[1];
     InstrId use = f.block(bb).instrs()[2];
@@ -107,7 +117,7 @@ TEST(Pdg, LoopCarriedRegisterDep)
     b.setBlock(exit);
     b.ret({i});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
     InstrId add = f.block(body).instrs()[1];
     // The add's def of i reaches its own use around the back edge.
     EXPECT_TRUE(hasArc(pdg, add, add, DepKind::Register));
@@ -131,7 +141,7 @@ TEST(Pdg, ControlArcsFromBranch)
     b.setBlock(join);
     b.ret({x});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
     InstrId branch = f.block(top).terminator();
     InstrId def = f.block(then_b).instrs()[0];
     InstrId ret = f.block(join).terminator();
@@ -150,7 +160,7 @@ TEST(Pdg, MemoryArc)
     Reg w = b.load(a, 0, 2);
     b.ret({w});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
     InstrId st = f.block(bb).instrs()[1];
     InstrId ld = f.block(bb).instrs()[2];
     EXPECT_TRUE(hasArc(pdg, st, ld, DepKind::Memory));
@@ -164,7 +174,7 @@ TEST(Pdg, RetUsesLiveOuts)
     Reg x = b.constI(3);
     b.ret({x});
     Function f = b.finish();
-    Pdg pdg = buildPdg(f);
+    Pdg pdg = pdgOf(f);
     InstrId def = f.block(bb).instrs()[0];
     InstrId ret = f.block(bb).terminator();
     EXPECT_TRUE(hasArc(pdg, def, ret, DepKind::Register));
@@ -178,7 +188,7 @@ TEST(PdgProperty, ArcWellFormedness)
     for (int trial = 0; trial < 30; ++trial) {
         auto prog = generateProgram(rng);
         const Function &f = prog.func;
-        Pdg pdg = buildPdg(f);
+        Pdg pdg = pdgOf(f);
         for (const auto &arc : pdg.arcs()) {
             switch (arc.kind) {
               case DepKind::Register: {

@@ -109,9 +109,9 @@ TEST_P(QueueAllocProperty, EquivalentUnderTinyBudgets)
         Function &f = gen.func;
         splitCriticalEdges(f);
         verifyOrDie(f);
-        Pdg pdg = buildPdg(f);
         auto pdom = DominatorTree::postDominators(f);
         ControlDependence cd(f, pdom);
+        Pdg pdg = buildPdg(f, cd);
         ThreadPartition p;
         p.num_threads = 2;
         p.assign.resize(f.numInstrs());

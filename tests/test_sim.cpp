@@ -317,9 +317,9 @@ TEST(CmpSimulatorProperty, AgreesWithInterpreter)
         Function &f = gen.func;
         splitCriticalEdges(f);
         verifyOrDie(f);
-        Pdg pdg = buildPdg(f);
         auto pdom = DominatorTree::postDominators(f);
         ControlDependence cd(f, pdom);
+        Pdg pdg = buildPdg(f, cd);
         ThreadPartition p;
         p.num_threads = 2;
         p.assign.resize(f.numInstrs());

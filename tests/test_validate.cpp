@@ -27,8 +27,8 @@ namespace
 struct Fixture
 {
     Fixture()
-        : f(buildFunc()), pdg(buildPdg(f)),
-          pdom(DominatorTree::postDominators(f)), cd(f, pdom)
+        : f(buildFunc()), pdom(DominatorTree::postDominators(f)),
+          cd(f, pdom), pdg(buildPdg(f, cd))
     {
         partition.num_threads = 2;
         partition.assign.assign(f.numInstrs(), 0);
@@ -68,9 +68,9 @@ struct Fixture
     }
 
     Function f;
-    Pdg pdg;
     DominatorTree pdom;
     ControlDependence cd;
+    Pdg pdg;
     ThreadPartition partition;
     CommPlan plan;
 };
@@ -172,9 +172,9 @@ TEST(Validate, RejectsPropertyTwoViolation)
     b.ret({s});
     Function f = b.finish();
     splitCriticalEdges(f);
-    Pdg pdg = buildPdg(f);
     auto pdom = DominatorTree::postDominators(f);
     ControlDependence cd(f, pdom);
+    Pdg pdg = buildPdg(f, cd);
     ThreadPartition partition;
     partition.num_threads = 2;
     partition.assign.assign(f.numInstrs(), 1);
@@ -210,9 +210,9 @@ TEST(ValidateProperty, DeletionAlwaysCaught)
         auto gen = generateProgram(rng);
         Function &f = gen.func;
         splitCriticalEdges(f);
-        Pdg pdg = buildPdg(f);
         auto pdom = DominatorTree::postDominators(f);
         ControlDependence cd(f, pdom);
+        Pdg pdg = buildPdg(f, cd);
         ThreadPartition p;
         p.num_threads = 2;
         p.assign.resize(f.numInstrs());
