@@ -22,37 +22,44 @@ Liveness::compute()
     const Function &f = func_;
     const int nb = f.numBlocks();
     const int nr = f.numRegs();
+
+    // Per-block summaries, composed backward over the instructions:
+    // LIVE_in = use u (LIVE_out - def), where use holds the counted
+    // uses not preceded by a def in the block.
+    std::vector<BitVector> use(nb, BitVector(nr)), def(nb, BitVector(nr));
+    for (BlockId b = 0; b < nb; ++b) {
+        const auto &instrs = f.block(b).instrs();
+        for (auto it = instrs.rbegin(); it != instrs.rend(); ++it) {
+            Reg d = f.defOf(*it);
+            if (d != kNoReg) {
+                use[b].reset(d);
+                def[b].set(d);
+            }
+            if (!filter_ || filter_(f, *it, filter_ctx_)) {
+                for (Reg u : f.usesOf(*it))
+                    use[b].set(u);
+            }
+        }
+    }
+
+    // Iterate to the least fixpoint (backward, round-robin) with word
+    // operations only; the fixpoint is unique, so the sweep order
+    // does not change the result.
     live_in_.assign(nb, BitVector(nr));
     live_out_.assign(nb, BitVector(nr));
-
-    // Iterate to fixpoint (backward). Simple round-robin; CFGs here
-    // are small enough that worklist ordering is not worth the code.
+    BitVector out(nr);
     bool changed = true;
     while (changed) {
         changed = false;
         for (BlockId b = nb - 1; b >= 0; --b) {
-            BitVector out(nr);
+            out.clearAll();
             for (BlockId s : f.block(b).succs())
                 out.unionWith(live_in_[s]);
-            BitVector in = out;
-            const auto &instrs = f.block(b).instrs();
-            for (auto it = instrs.rbegin(); it != instrs.rend(); ++it) {
-                Reg def = f.defOf(*it);
-                if (def != kNoReg)
-                    in.reset(def);
-                if (!filter_ || filter_(f, *it, filter_ctx_)) {
-                    for (Reg use : f.usesOf(*it))
-                        in.set(use);
-                }
-            }
             if (!(out == live_out_[b])) {
-                live_out_[b] = std::move(out);
+                live_out_[b] = out;
                 changed = true;
             }
-            if (!(in == live_in_[b])) {
-                live_in_[b] = std::move(in);
-                changed = true;
-            }
+            changed |= live_in_[b].assignTransfer(out, use[b], def[b]);
         }
     }
 }

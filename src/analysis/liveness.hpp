@@ -22,6 +22,9 @@ namespace gmt
  * An optional instruction filter restricts which instructions' uses
  * count (thread-aware liveness passes "uses in thread T / in relevant
  * branches of T"); defs always kill regardless of thread.
+ *
+ * The block-level fixpoint runs on per-block use/def summaries built
+ * in one pass, so the filter is called once per instruction.
  */
 class Liveness
 {

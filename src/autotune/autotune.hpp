@@ -152,6 +152,9 @@ struct AutotuneInputs
     const ControlDependence *cd = nullptr;
     const EdgeProfile *profile = nullptr;
 
+    /** pdgSccs(*pdg): the units partitions keep whole. */
+    const SccResult *sccs = nullptr;
+
     /** Partitioner for reweight candidates. */
     Scheduler scheduler = Scheduler::Dswp;
     int num_threads = 2;

@@ -17,6 +17,12 @@
  * The analysis is forward/must. At the region entry every register is
  * safe for every thread: live-ins are broadcast at thread spawn, so
  * all threads start with identical register files.
+ *
+ * Equation 1 composes over a block into SAFE_out = GEN u (SAFE_in -
+ * KILL). The per-block GEN/KILL summaries are built in one pass over
+ * the instructions; the fixpoint then iterates with word operations
+ * only. The greatest fixpoint is unique, so the result equals the
+ * per-instruction iteration's.
  */
 
 #include <vector>
@@ -38,6 +44,9 @@ class SafetyAnalysis
     /** Registers safe to communicate from the thread at block entry. */
     const BitVector &safeIn(BlockId b) const { return safe_in_[b]; }
 
+    /** Registers safe to communicate from the thread at block exit. */
+    const BitVector &safeOut(BlockId b) const { return safe_out_[b]; }
+
     /** Safe set at an arbitrary point (forward refinement). */
     BitVector safeAt(const ProgramPoint &p) const;
 
@@ -50,8 +59,12 @@ class SafetyAnalysis
     const Function &func_;
     const ThreadPartition &partition_;
     int src_thread_;
-    std::vector<BitVector> safe_in_;
+    std::vector<BitVector> safe_in_, safe_out_;
 };
+
+/** One SafetyAnalysis per thread of @p partition, indexed by thread. */
+std::vector<SafetyAnalysis> safetyPerThread(const Function &f,
+                                            const ThreadPartition &partition);
 
 } // namespace gmt
 

@@ -13,7 +13,8 @@ namespace gmt
 std::vector<MtvDiag>
 validatePlanDiags(const Function &f, const Pdg &pdg,
                   const ThreadPartition &partition,
-                  const ControlDependence &cd, const CommPlan &plan)
+                  const ControlDependence &cd, const CommPlan &plan,
+                  const PlanCheckInputs &shared)
 {
     std::vector<MtvDiag> problems;
     auto cat = [](auto &&...parts) {
@@ -44,14 +45,18 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
     RelevantSets relevant(f, cd, partition, plan);
 
     // Properties 2 and 3 per placement point.
-    std::vector<std::unique_ptr<SafetyAnalysis>> safety(
+    std::vector<std::unique_ptr<SafetyAnalysis>> own_safety(
         partition.num_threads);
+    auto safetyOf = [&](int t) -> const SafetyAnalysis & {
+        if (shared.safety != nullptr)
+            return (*shared.safety)[t];
+        if (!own_safety[t])
+            own_safety[t] =
+                std::make_unique<SafetyAnalysis>(f, partition, t);
+        return *own_safety[t];
+    };
     for (size_t pi = 0; pi < plan.placements.size(); ++pi) {
         const CommPlacement &pl = plan.placements[pi];
-        if (!safety[pl.src_thread]) {
-            safety[pl.src_thread] = std::make_unique<SafetyAnalysis>(
-                f, partition, pl.src_thread);
-        }
         for (const auto &p : pl.points) {
             if (!relevant.isRelevantPoint(pl.src_thread, p.block, cd)) {
                 problems.push_back(
@@ -67,7 +72,7 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
                                     pl.src_thread, ")")});
             }
             if (pl.kind == CommKind::RegisterData &&
-                !safety[pl.src_thread]->isSafeAt(pl.reg, p)) {
+                !safetyOf(pl.src_thread).isSafeAt(pl.reg, p)) {
                 // MTCG's operand forwarding: a thread may re-produce
                 // a value it consumes *at the same point* from an
                 // earlier placement (Algorithm 1 lines 17-19 send a
@@ -102,7 +107,11 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
     }
 
     // Coverage of every cross-thread PDG arc.
-    for (int ai : uncoveredArcs(f, pdg, partition, plan)) {
+    std::vector<int> own_uncovered;
+    if (shared.uncovered == nullptr)
+        own_uncovered = uncoveredArcs(f, pdg, partition, plan);
+    for (int ai : shared.uncovered != nullptr ? *shared.uncovered
+                                               : own_uncovered) {
         const PdgArc &arc = pdg.arcs()[ai];
         int ts = partition.threadOf(arc.src);
         int tt = partition.threadOf(arc.dst);
@@ -125,11 +134,12 @@ validatePlanDiags(const Function &f, const Pdg &pdg,
 std::vector<std::string>
 validatePlan(const Function &f, const Pdg &pdg,
              const ThreadPartition &partition,
-             const ControlDependence &cd, const CommPlan &plan)
+             const ControlDependence &cd, const CommPlan &plan,
+             const PlanCheckInputs &shared)
 {
     std::vector<std::string> rendered;
     for (const MtvDiag &d :
-         validatePlanDiags(f, pdg, partition, cd, plan))
+         validatePlanDiags(f, pdg, partition, cd, plan, shared))
         rendered.push_back(renderDiag(d));
     return rendered;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analysis/control_dep.hpp"
+#include "coco/safety.hpp"
 #include "mtcg/comm_plan.hpp"
 #include "mtverify/diag.hpp"
 #include "partition/partition.hpp"
@@ -21,6 +22,19 @@
 
 namespace gmt
 {
+
+/**
+ * Analyses of the same (function, PDG, partition, plan) that a caller
+ * already holds, so validation reuses them. Null = computed here.
+ */
+struct PlanCheckInputs
+{
+    /** safetyPerThread(f, partition). */
+    const std::vector<SafetyAnalysis> *safety = nullptr;
+
+    /** uncoveredArcs(f, pdg, partition, plan). */
+    const std::vector<int> *uncovered = nullptr;
+};
 
 /**
  * Check @p plan for @p partition:
@@ -41,14 +55,16 @@ namespace gmt
 std::vector<MtvDiag> validatePlanDiags(const Function &f, const Pdg &pdg,
                                        const ThreadPartition &partition,
                                        const ControlDependence &cd,
-                                       const CommPlan &plan);
+                                       const CommPlan &plan,
+                                       const PlanCheckInputs &shared = {});
 
 /** validatePlanDiags rendered one string per finding (callers that
  *  only print). Empty = valid. */
 std::vector<std::string> validatePlan(const Function &f, const Pdg &pdg,
                                       const ThreadPartition &partition,
                                       const ControlDependence &cd,
-                                      const CommPlan &plan);
+                                      const CommPlan &plan,
+                                      const PlanCheckInputs &shared = {});
 
 } // namespace gmt
 

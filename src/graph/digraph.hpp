@@ -57,9 +57,6 @@ class Digraph
     std::vector<bool> reachableFrom(NodeId start) const;
 
   private:
-    /** Builds its edge lists directly, already deduplicated. */
-    friend class Pdg;
-
     std::vector<std::vector<NodeId>> succs_;
     std::vector<std::vector<NodeId>> preds_;
     int numEdges_ = 0;

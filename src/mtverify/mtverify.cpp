@@ -398,8 +398,11 @@ checkDependences(const MtVerifyInput &in,
     const Function &orig = *in.orig;
     const ThreadPartition &part = *in.partition;
     const std::vector<PdgArc> &arcs = in.pdg->arcs();
-    std::vector<int> uncovered =
-        uncoveredArcs(orig, *in.pdg, part, *in.plan);
+    std::vector<int> own_uncovered;
+    if (in.uncovered == nullptr)
+        own_uncovered = uncoveredArcs(orig, *in.pdg, part, *in.plan);
+    const std::vector<int> &uncovered =
+        in.uncovered != nullptr ? *in.uncovered : own_uncovered;
     size_t next = 0;
 
     for (int ai = 0; ai < static_cast<int>(arcs.size()); ++ai) {

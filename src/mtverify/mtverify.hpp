@@ -48,7 +48,8 @@ namespace gmt
 
 /** Everything the verifier needs. All pointers must be non-null
  *  except queue_of (null means the identity assignment: placement i
- *  uses queue i, which is what MTCG does with max_queues == 0). */
+ *  uses queue i, which is what MTCG does with max_queues == 0) and
+ *  uncovered (null means computed here). */
 struct MtVerifyInput
 {
     const Function *orig = nullptr;
@@ -57,6 +58,13 @@ struct MtVerifyInput
     const CommPlan *plan = nullptr;
     const std::vector<int> *queue_of = nullptr;
     const MtProgram *prog = nullptr;
+
+    /**
+     * uncoveredArcs(*orig, *pdg, *partition, *plan), when the caller
+     * already computed it for these same objects (the placement pass
+     * does, for COCO plans).
+     */
+    const std::vector<int> *uncovered = nullptr;
 
     /** Run the happens-before race check (theorem 4). On by default;
      *  gmt-lint --no-hb and PipelineOptions::verify_hb gate it. */

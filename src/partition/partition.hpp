@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "analysis/edge_profile.hpp"
+#include "graph/scc.hpp"
 #include "obs/provenance.hpp"
 #include "pdg/pdg.hpp"
 
@@ -101,16 +102,24 @@ int countCrossThreadArcs(const Pdg &pdg, const ThreadPartition &p);
 /** Does any PDG memory dependence cross threads under @p p? */
 bool hasCrossThreadMemDeps(const Pdg &pdg, const ThreadPartition &p);
 
+/**
+ * The PDG's strongly connected components: the units both partitioners
+ * keep on one thread (a split SCC would create a cross-thread
+ * dependence cycle). The pdg pass computes them once per PDG.
+ */
+SccResult pdgSccs(const Pdg &pdg);
+
 /** Which GMT partitioner to run. */
 enum class Scheduler { Dswp, Gremio };
 
 /**
  * Run the partitioner @p s (partition/dswp.hpp, partition/gremio.hpp)
- * with its default knobs, @p num_threads threads and the optional
- * stall @p feedback, recording its decisions into @p prov when
- * non-null.
+ * on @p pdg and its SCCs @p sccs (pdgSccs) with its default knobs,
+ * @p num_threads threads and the optional stall @p feedback,
+ * recording its decisions into @p prov when non-null.
  */
 ThreadPartition partitionPdg(Scheduler s, const Pdg &pdg,
+                             const SccResult &sccs,
                              const EdgeProfile &profile, int num_threads,
                              const PartitionFeedback *feedback = nullptr,
                              PartitionProvenance *prov = nullptr);

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "analysis/mem_dep.hpp"
-#include "graph/digraph.hpp"
 #include "ir/function.hpp"
 
 namespace gmt
@@ -70,12 +69,6 @@ class Pdg
      */
     const std::vector<MemDep> &memDeps() const { return mem_deps_; }
     void setMemDeps(std::vector<MemDep> deps) { mem_deps_ = std::move(deps); }
-
-    /**
-     * View as a plain digraph over InstrIds (for SCC/condensation in
-     * the partitioners).
-     */
-    Digraph asDigraph() const;
 
   private:
     const Function *func_;

@@ -66,6 +66,21 @@ BitVector::intersectWith(const BitVector &other)
 }
 
 bool
+BitVector::assignTransfer(const BitVector &in, const BitVector &gen,
+                          const BitVector &kill)
+{
+    GMT_ASSERT(size_ == in.size_ && size_ == gen.size_ &&
+               size_ == kill.size_);
+    bool changed = false;
+    for (size_t i = 0; i < words_.size(); ++i) {
+        uint64_t next = gen.words_[i] | (in.words_[i] & ~kill.words_[i]);
+        changed |= (words_[i] != next);
+        words_[i] = next;
+    }
+    return changed;
+}
+
+bool
 BitVector::subtract(const BitVector &other)
 {
     GMT_ASSERT(size_ == other.size_);

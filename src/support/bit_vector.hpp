@@ -70,6 +70,13 @@ class BitVector
     /** this -= other (clear every bit set in other). @return changed. */
     bool subtract(const BitVector &other);
 
+    /**
+     * this = gen | (in - kill): one block's composed transfer function
+     * of a gen/kill data-flow problem. @return true if this changed.
+     */
+    bool assignTransfer(const BitVector &in, const BitVector &gen,
+                        const BitVector &kill);
+
     bool operator==(const BitVector &other) const = default;
 
     /** Call @p fn with the index of every set bit, ascending. */
