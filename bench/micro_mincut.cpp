@@ -186,9 +186,11 @@ main(int argc, char **argv)
             PipelineContext ctx(w, po);
             PassManager::codegenPipeline().run(ctx);
             CocoExec exec{&capture};
-            cocoOptimize(ctx.pdg->ir->func, ctx.pdg->pdg,
-                         ctx.partition->partition, ctx.pdg->cd,
-                         ctx.profile->profile, CocoOptions{}, exec);
+            const Function &f = ctx.pdg->ir->func;
+            const ThreadPartition &part = ctx.partition->partition;
+            cocoOptimize(f, ctx.pdg->pdg, part, safetyPerThread(f, part),
+                         ctx.pdg->cd, ctx.profile->profile, CocoOptions{},
+                         exec);
         }
     }
     uint64_t coco_warm = m.counter("coco.warm_starts").value() - warm0;

@@ -99,7 +99,8 @@ main()
               << " replicated-branch executions in thread 2\n";
 
     // COCO placement: min-cut moves the produce past the loop.
-    auto coco = cocoOptimize(f, pdg, partition, cd, profile);
+    auto coco = cocoOptimize(f, pdg, partition,
+                             safetyPerThread(f, partition), cd, profile);
     for (const auto &pl : coco.plan.placements) {
         if (pl.kind != CommKind::RegisterData)
             continue;

@@ -85,10 +85,11 @@ main()
     ControlDependence cd(f, pdom);
     Pdg pdg = buildPdg(f, cd);
     ThreadPartition partition =
-        dswpPartition(pdg, profile, {.num_threads = 2});
+        dswpPartition(pdg, pdgSccs(pdg), profile, {.num_threads = 2});
 
     // 4. COCO placement + MTCG code generation.
-    auto coco = cocoOptimize(f, pdg, partition, cd, profile);
+    auto coco = cocoOptimize(f, pdg, partition,
+                             safetyPerThread(f, partition), cd, profile);
     MtProgram prog = runMtcg(f, pdg, partition, coco.plan, cd);
     for (const auto &thread : prog.threads)
         std::cout << "\n=== " << thread.name() << " ===\n"

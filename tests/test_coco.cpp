@@ -114,7 +114,8 @@ TEST(CocoFigure4, MovesCommunicationOutOfLoop)
     auto st = prepare(buildFigure4(&r1), {10}, 0);
     auto partition = figure4Partition(st.f);
 
-    auto coco = cocoOptimize(st.f, st.pdg, partition, *st.cd,
+    auto coco = cocoOptimize(st.f, st.pdg, partition,
+                             safetyPerThread(st.f, partition), *st.cd,
                              st.profile);
     EXPECT_TRUE(
         validatePlan(st.f, st.pdg, partition, *st.cd, coco.plan)
@@ -260,8 +261,9 @@ TEST(CocoFigure5, PenaltiesAvoidMakingBranchRelevant)
     for (InstrId i : fig.f.block(fig.b7).instrs())
         partition.assign[i] = 1;
 
-    auto with_pen = cocoOptimize(fig.f, pdg, partition, cd, profile,
-                                 {.control_flow_penalties = true});
+    auto with_pen = cocoOptimize(fig.f, pdg, partition,
+                                 safetyPerThread(fig.f, partition), cd,
+                                 profile, {.control_flow_penalties = true});
     EXPECT_TRUE(
         validatePlan(fig.f, pdg, partition, cd, with_pen.plan).empty());
 
@@ -320,7 +322,8 @@ TEST(CocoMemory, SharedSyncAcrossDisjointDeps)
     for (size_t k = 4; k < ins.size(); ++k)
         partition.assign[ins[k]] = 1;
 
-    auto coco = cocoOptimize(st.f, st.pdg, partition, *st.cd,
+    auto coco = cocoOptimize(st.f, st.pdg, partition,
+                             safetyPerThread(st.f, partition), *st.cd,
                              st.profile);
     EXPECT_TRUE(
         validatePlan(st.f, st.pdg, partition, *st.cd, coco.plan)
@@ -368,8 +371,10 @@ TEST(Coco, ConvergesWithinIterationBudget)
         auto st = prepare(std::move(gen.func), {4, 9},
                           gen.array_cells);
         auto partition =
-            gremioPartition(st.pdg, st.profile, {.num_threads = 2});
-        auto coco = cocoOptimize(st.f, st.pdg, partition, *st.cd,
+            gremioPartition(st.pdg, pdgSccs(st.pdg), st.profile,
+                            {.num_threads = 2});
+        auto coco = cocoOptimize(st.f, st.pdg, partition,
+                                 safetyPerThread(st.f, partition), *st.cd,
                                  st.profile, {.max_iterations = 16});
         EXPECT_LT(coco.iterations, 16);
     }
@@ -402,7 +407,8 @@ TEST_P(CocoProperty, ValidEquivalentAndNeverWorse)
         for (auto &x : partition.assign)
             x = static_cast<int>(rng.nextBelow(num_threads));
 
-        auto coco = cocoOptimize(st.f, st.pdg, partition, *st.cd,
+        auto coco = cocoOptimize(st.f, st.pdg, partition,
+                                 safetyPerThread(st.f, partition), *st.cd,
                                  st.profile);
         auto problems =
             validatePlan(st.f, st.pdg, partition, *st.cd, coco.plan);
@@ -462,12 +468,13 @@ TEST(CocoEndToEnd, DswpAndGremioPartitions)
         for (bool use_dswp : {true, false}) {
             ThreadPartition partition =
                 use_dswp
-                    ? dswpPartition(st.pdg, st.profile,
+                    ? dswpPartition(st.pdg, pdgSccs(st.pdg), st.profile,
                                     {.num_threads = 2})
-                    : gremioPartition(st.pdg, st.profile,
-                                      {.num_threads = 2});
-            auto coco = cocoOptimize(st.f, st.pdg, partition, *st.cd,
-                                     st.profile);
+                    : gremioPartition(st.pdg, pdgSccs(st.pdg),
+                                      st.profile, {.num_threads = 2});
+            auto coco = cocoOptimize(st.f, st.pdg, partition,
+                                     safetyPerThread(st.f, partition),
+                                     *st.cd, st.profile);
             ASSERT_TRUE(validatePlan(st.f, st.pdg, partition, *st.cd,
                                      coco.plan)
                             .empty());

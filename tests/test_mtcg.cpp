@@ -283,8 +283,10 @@ TEST(MtcgEndToEnd, DswpAndGremioPartitions)
         for (bool use_dswp : {true, false}) {
             ThreadPartition p =
                 use_dswp
-                    ? dswpPartition(pdg, profile, {.num_threads = 2})
-                    : gremioPartition(pdg, profile, {.num_threads = 2});
+                    ? dswpPartition(pdg, pdgSccs(pdg), profile,
+                                    {.num_threads = 2})
+                    : gremioPartition(pdg, pdgSccs(pdg), profile,
+                                      {.num_threads = 2});
             MtProgram prog = mtcgDefault(f, p);
             auto out = checkEquivalence(f, prog, {5, 9},
                                         gen.array_cells, nullptr,

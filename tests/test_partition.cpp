@@ -75,7 +75,8 @@ TEST(Dswp, ProducesValidPipeline)
         auto prog = generateProgram(rng);
         Pdg pdg = pdgOf(prog.func);
         auto profile = profileOf(prog.func, {3, -5}, prog.array_cells);
-        auto p = dswpPartition(pdg, profile, {.num_threads = 2});
+        auto p =
+            dswpPartition(pdg, pdgSccs(pdg), profile, {.num_threads = 2});
         auto problems = validatePartition(pdg, p, true);
         ASSERT_TRUE(problems.empty())
             << "trial " << trial << ": " << problems[0];
@@ -89,7 +90,8 @@ TEST(Dswp, MoreThreadsStillPipeline)
     Pdg pdg = pdgOf(prog.func);
     auto profile = profileOf(prog.func, {9, 2}, prog.array_cells);
     for (int nt : {3, 4, 6}) {
-        auto p = dswpPartition(pdg, profile, {.num_threads = nt});
+        auto p =
+            dswpPartition(pdg, pdgSccs(pdg), profile, {.num_threads = nt});
         EXPECT_TRUE(validatePartition(pdg, p, true).empty());
         EXPECT_EQ(p.num_threads, nt);
     }
@@ -104,7 +106,8 @@ TEST(Dswp, SplitsWorkAcrossThreads)
         auto prog = generateProgram(rng, {.max_depth = 4});
         Pdg pdg = pdgOf(prog.func);
         auto profile = profileOf(prog.func, {7, 3}, prog.array_cells);
-        auto p = dswpPartition(pdg, profile, {.num_threads = 2});
+        auto p =
+            dswpPartition(pdg, pdgSccs(pdg), profile, {.num_threads = 2});
         if (!p.membersOf(0).empty() && !p.membersOf(1).empty())
             ++split_count;
     }
@@ -118,7 +121,8 @@ TEST(Gremio, ProducesValidAssignment)
         auto prog = generateProgram(rng);
         Pdg pdg = pdgOf(prog.func);
         auto profile = profileOf(prog.func, {4, 11}, prog.array_cells);
-        auto p = gremioPartition(pdg, profile, {.num_threads = 2});
+        auto p = gremioPartition(pdg, pdgSccs(pdg), profile,
+                                 {.num_threads = 2});
         ASSERT_TRUE(validatePartition(pdg, p, false).empty());
     }
 }
@@ -143,7 +147,8 @@ TEST(Gremio, UsesBothThreadsOnParallelWork)
     MemoryImage mem;
     auto run = interpret(f, {1, 2}, mem);
     auto profile = EdgeProfile::fromRun(f, run.profile);
-    auto p = gremioPartition(pdg, profile, {.num_threads = 2});
+    auto p =
+        gremioPartition(pdg, pdgSccs(pdg), profile, {.num_threads = 2});
     EXPECT_FALSE(p.membersOf(0).empty());
     EXPECT_FALSE(p.membersOf(1).empty());
 }
@@ -154,7 +159,8 @@ TEST(Gremio, RespectsSingleThreadDegenerate)
     auto prog = generateProgram(rng);
     Pdg pdg = pdgOf(prog.func);
     auto profile = profileOf(prog.func, {1, 1}, prog.array_cells);
-    auto p = gremioPartition(pdg, profile, {.num_threads = 1});
+    auto p =
+        gremioPartition(pdg, pdgSccs(pdg), profile, {.num_threads = 1});
     EXPECT_TRUE(validatePartition(pdg, p, true).empty());
     EXPECT_EQ(countCrossThreadArcs(pdg, p), 0);
 }

@@ -89,7 +89,8 @@ TEST(Validate, AcceptsCocoPlan)
     MemoryImage mem;
     auto run = interpret(fx.f, {1}, mem);
     auto profile = EdgeProfile::fromRun(fx.f, run.profile);
-    auto coco = cocoOptimize(fx.f, fx.pdg, fx.partition, fx.cd,
+    auto coco = cocoOptimize(fx.f, fx.pdg, fx.partition,
+                             safetyPerThread(fx.f, fx.partition), fx.cd,
                              profile);
     EXPECT_TRUE(
         validatePlan(fx.f, fx.pdg, fx.partition, fx.cd, coco.plan)
